@@ -1,0 +1,7 @@
+"""Make the library under src/ and the benchmark modules importable for pytest."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
