@@ -7,6 +7,7 @@ results are exact over the rationals and over GF(p) alike.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,11 +23,11 @@ from .linalg import (
     block_diag,
     companion,
     column_space_basis,
-    complete_to_basis,
-    eval_poly_vec,
+    completion_indices,
     inverse,
     kernel_basis,
     rank,
+    rref,
     solve,
 )
 from .minpoly import min_poly_vector
@@ -77,72 +78,137 @@ class JnfResult:
     transform: Mat
 
 
-def _conjugate(work: Mat, step: Mat) -> Mat:
-    return inverse(step) * work * step
+def _fail(phase: str, block: int, message: str) -> InternalInvariantError:
+    return InternalInvariantError(f"rnf {phase}, block {block}: {message}")
 
 
-def _embed(off: int, inner: Mat) -> Mat:
-    if off == 0:
-        return inner
-    return block_diag([Mat.identity(inner.field, off), inner])
+def _split_quotient(sub: Mat, krylov: list[Vec]) -> tuple[list[int], list[list], Mat]:
+    """Split the cyclic block of `krylov` off the quotient matrix `sub`.
+
+    In the basis C = [V | e_s for s in keep], with V the Krylov chain
+    and `keep` from `completion_indices`, the first d columns of
+    C^-1 * sub * C are companion(mu) over zeros by construction, and
+    sub * e_s is column s of sub, so only the completion columns
+    C^-1 * y are computed.  With R the rows outside `keep`, the Krylov
+    coordinates x of C^-1 * y solve V[R, :] x = y[R] and its other
+    coordinates are y[keep] - V[keep, :] x.
+
+    Returns `keep`, the d rows of couplings of the new block to the
+    completion, and the quotient matrix left to split.
+    """
+    K = sub.field
+    m = sub.nrows
+    d = len(krylov)
+    keep = completion_indices(K, krylov, m)
+    kept = set(keep)
+    rows = [[v.entries[r] for v in krylov] for r in range(m)]
+    system = [rows[r] + [sub.data[r][s] for s in keep] for r in range(m) if r not in kept]
+    reduced, pivots, _ = rref(Mat(K, system))
+    if pivots != list(range(d)):
+        raise InternalInvariantError("Krylov rows outside the completion are singular")
+    coupling = [row[d:] for row in reduced.data]
+    cols = list(zip(*coupling))
+    rest = [
+        [K.sub(sub.data[r][s], K.dot(rows[r], c)) for s, c in zip(keep, cols)]
+        for r in keep
+    ]
+    return keep, coupling, Mat(K, rest)
 
 
-def _clear_couplings(sub: Mat, chain: list[Poly]) -> Mat:
-    """Basis change killing the couplings above the leading companion block.
+def _clear_couplings(head: Poly, lead: list[list], chain: list[Poly]) -> list[list]:
+    """Columns of X such that U = [[I, X], [0, I]] clears the leading block row.
 
-    `sub` is block upper triangular: companion(chain[0]) in the top-left
-    corner, the exact companion-block diagonal for chain[1:] below, and
-    junk only in the leading block row.  The returned matrix is unit
-    upper triangular; conjugating by it makes `sub` block diagonal.
+    The trailing matrix is block upper triangular: companion(head) in the
+    top-left corner, its couplings `lead` (deg head rows) to the right,
+    and the exact companion blocks of `chain` on the diagonal below.
+    Conjugating it by the unit upper triangular U makes it block
+    diagonal; X fills the columns to the right of the leading block.
 
     Works because e_1 is cyclic for the leading block: its Krylov chain
     reads off coordinates, so the top segment of P_i(sub) * v_i *is* the
     coefficient vector of a polynomial h_i, and block i's own factor P_i
     divides h_i exactly; subtracting (h_i / P_i)(sub) * e_1 from v_i
-    then decouples block i.
+    then decouples block i.  Every vector involved has a known companion
+    part below the leading block, so only its top segment is carried:
+    sub maps (y, e_t) to (companion(head) * y + lead[:, t], e_(t+1)).
     """
-    K = sub.field
-    m = sub.nrows
-    head = chain[0].degree
-    cols: list[Vec] = []
-    lead = Vec.basis(K, m, 0)
-    w = lead
-    for _ in range(head):
-        cols.append(w)
-        w = sub * w
-    off = head
-    for factor in chain[1:]:
-        v = Vec.basis(K, m, off)
-        image = eval_poly_vec(factor, sub, v)
-        if not all(K.is_zero(x) for x in image.entries[head:]):
-            raise InternalInvariantError("coupling image leaks past the leading block")
-        carried = Poly(K, image.entries[:head])
-        quotient, remainder = divmod(carried, factor)
+    K = head.field
+    h = head.degree
+    last = [K.neg(c) for c in head.coeffs[:h]]
+    lead_cols = list(zip(*lead))
+
+    def times_sub(y: list, t: int) -> list:
+        top = y[-1]
+        prev = [K.zero] + y[:-1]
+        return [K.add(K.add(p, K.mul(c, top)), j) for p, c, j in zip(prev, last, lead_cols[t])]
+
+    out: list[list] = []
+    t = 0
+    for i, factor in enumerate(chain, 1):
+        d = factor.degree
+        tops = [[K.zero] * h]
+        for k in range(d):
+            tops.append(times_sub(tops[-1], t + k))
+        image = [K.dot([y[r] for y in tops[1:]], factor.coeffs[1:]) for r in range(h)]
+        quotient, remainder = divmod(Poly(K, image), factor)
         if not remainder.is_zero:
-            raise InternalInvariantError("coupling polynomial is not divisible")
-        w = v - eval_poly_vec(quotient, sub, lead)
-        for _ in range(factor.degree):
-            cols.append(w)
-            w = sub * w
-        off += factor.degree
-    out = Mat.from_cols(K, cols, m)
-    for i in range(m):
-        if not K.eq(out.data[i][i], K.one):
-            raise InternalInvariantError("basis change is not unit triangular")
-        for j in range(i):
-            if not K.is_zero(out.data[i][j]):
-                raise InternalInvariantError("basis change is not upper triangular")
+            raise InternalInvariantError(f"coupling polynomial of later block {i} is not divisible")
+        y = [K.neg(c) for c in quotient.coeffs]
+        y += [K.zero] * (h - len(y))
+        out.append(y)
+        for k in range(d - 1):
+            y = times_sub(y, t + k)
+            out.append(y)
+        t += d
     return out
+
+
+def _times_form(cols: list[list], factors: list[Poly]) -> list[list]:
+    """Columns of T * block_diag(companion(f)), read off the companion structure."""
+    K = factors[0].field
+    out: list[list] = []
+    off = 0
+    for f in factors:
+        d = f.degree
+        block = cols[off : off + d]
+        out.extend(block[1:])
+        out.append([K.neg(K.dot(row, f.coeffs[:d])) for row in zip(*block)])
+        off += d
+    return out
+
+
+def _certify(a: Mat, cols: list[list], factors: list[Poly], offsets: list[int]) -> Mat:
+    """T from its columns, checked once: A*T == T*R and rank(T) == n."""
+    n = a.nrows
+    t = Mat.from_cols(a.field, cols, n)
+    image = (a * t).transpose().data
+    for c, (lhs, rhs) in enumerate(zip(image, _times_form(cols, factors))):
+        if lhs != rhs:
+            block = bisect_right(offsets, c) - 1
+            raise _fail("certify", block, f"A*T and T*R differ in column {c}")
+    pivots = rref(t).pivots
+    if len(pivots) < n:
+        c = next(i for i, p in enumerate(pivots + [n]) if p != i)
+        raise _fail("certify", bisect_right(offsets, c) - 1, f"column {c} of T is dependent")
+    return t
 
 
 def rnf(a: Mat) -> RnfResult:
     """Rational normal form R plus a transform T with T^-1 A T = R.
 
-    Peels one companion block at a time: find a vector realizing the
-    minimal polynomial of the trailing submatrix, extend its Krylov
-    chain to a basis, conjugate, and continue on what remains.  The
-    trailing submatrix is then block diagonalized innermost-first by
-    clearing the couplings above each leading block.
+    Peels one companion block at a time, in shrinking quotient
+    coordinates: find a vector realizing the minimal polynomial of the
+    quotient matrix not yet split off, extend its Krylov chain to a
+    basis with canonical vectors, and carry on with the completion's
+    part of the quotient.  A block touches only that quotient, the
+    couplings of the earlier blocks to it, and its own columns of T,
+    which are its Krylov chain in the coordinates of A.  The couplings
+    are then cleared innermost-first, each block updating only the rows
+    above it and the columns of T to its right.  The result is checked
+    once, by A*T == T*R and rank(T) == n.
+
+    An InternalInvariantError names the phase (peel, couple or certify)
+    and the block where it was detected.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -150,33 +216,57 @@ def rnf(a: Mat) -> RnfResult:
     if n == 0:
         raise ValueError("empty matrix has no rational normal form")
     K = a.field
-    total = Mat.identity(K, n)
-    work = a
+    # Rows of the conjugated matrix above its companion diagonal; a row
+    # of block j is meaningful right of that block only.
+    upper = [[K.zero] * n for _ in range(n)]
+    cols: list[list] = []  # the peeled columns of T
+    basis = list(range(n))  # T's remaining columns are e_basis[s]
     factors: list[Poly] = []
     offsets: list[int] = []
+    sub = a
     off = 0
     while off < n:
-        sub = work.block(off, off, n - off, n - off)
-        ann = min_poly_vector(sub)
-        step = _embed(off, complete_to_basis(K, ann.krylov, n - off))
-        work = _conjugate(work, step)
-        total = total * step
+        j = len(factors)
+        try:
+            ann = min_poly_vector(sub)
+            if factors and not ann.mu.divides(factors[-1]):
+                raise InternalInvariantError("invariant factor chain broken")
+            d = ann.mu.degree
+            keep: list[int] = []
+            if d < n - off:
+                keep, coupling, sub = _split_quotient(sub, ann.krylov)
+                for k, row in enumerate(coupling):
+                    upper[off + k][off + d :] = row
+        except InternalInvariantError as exc:
+            raise _fail("peel", j, str(exc)) from exc
+        for row in upper[:off]:
+            tail = row[off:]
+            row[off:] = [K.dot(tail, v.entries) for v in ann.krylov] + [tail[s] for s in keep]
+        for v in ann.krylov:
+            col = [K.zero] * n
+            for s, x in zip(basis, v.entries):
+                col[s] = x
+            cols.append(col)
+        basis = [basis[s] for s in keep]
         factors.append(ann.mu)
         offsets.append(off)
-        off += ann.mu.degree
-    for earlier, later in zip(factors, factors[1:]):
-        if not later.divides(earlier):
-            raise InternalInvariantError("invariant factor chain broken")
+        off += d
     for j in range(len(factors) - 2, -1, -1):
-        o = offsets[j]
-        sub = work.block(o, o, n - o, n - o)
-        step = _embed(o, _clear_couplings(sub, factors[j:]))
-        work = _conjugate(work, step)
-        total = total * step
+        o, h = offsets[j], factors[j].degree
+        lead = [upper[o + k][o + h :] for k in range(h)]
+        try:
+            x = _clear_couplings(factors[j], lead, factors[j + 1 :])
+        except InternalInvariantError as exc:
+            raise _fail("couple", j, str(exc)) from exc
+        for row in upper[:o]:
+            head = row[o : o + h]
+            row[o + h :] = [K.add(y, K.dot(head, xc)) for y, xc in zip(row[o + h :], x)]
+        heads = list(zip(*cols[o : o + h]))
+        for c, xc in enumerate(x, o + h):
+            cols[c] = [K.add(y, K.dot(hr, xc)) for y, hr in zip(cols[c], heads)]
+    transform = _certify(a, cols, factors, offsets)
     form = block_diag([companion(f) for f in factors])
-    if work != form:
-        raise InternalInvariantError("conjugated matrix is not the expected form")
-    return RnfResult(factors=factors, rnf=form, transform=total)
+    return RnfResult(factors=factors, rnf=form, transform=transform)
 
 
 def invariant_factors(a: Mat) -> list[Poly]:

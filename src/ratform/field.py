@@ -22,18 +22,34 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+# Miller-Rabin on the first thirteen primes as bases is a proof of
+# primality for every n below this bound, psi_13 (Sorenson and Webster,
+# 2015); the first twelve alone only reach psi_12 = 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -183,6 +199,10 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         super().__init__()
+        if p >= PRIME_BOUND:
+            raise ValueError(
+                f"modulus {p} is not below {PRIME_BOUND}, the bound of the primality proof"
+            )
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -25,6 +25,7 @@ __all__ = [
     "kernel_basis",
     "solve",
     "column_space_basis",
+    "completion_indices",
     "complete_to_basis",
     "companion",
     "block_diag",
@@ -437,28 +438,32 @@ class SpanTracker:
         return True
 
 
-def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
-    """Extend independent columns to a basis with canonical basis vectors.
+def completion_indices(field: Field, vectors: list[Vec], n: int) -> list[int]:
+    """Ascending indices i of the e_i that extend independent columns to a basis.
 
-    The inputs come first, in order; then e_1, e_2, ... are scanned in
-    index order and appended whenever one enlarges the span, which makes
+    The inputs are taken first, in order; then e_1, e_2, ... are scanned
+    in index order and kept whenever one enlarges the span, which makes
     the completion deterministic.
     """
     tracker = SpanTracker(field, n)
-    cols: list[Vec] = []
     for v in vectors:
         if len(v.entries) != n:
             raise DimensionError("vector of wrong length")
         if not tracker.try_add(v.entries):
             raise ValueError("input vectors are linearly dependent")
-        cols.append(v)
+    out: list[int] = []
     for i in range(n):
-        if len(cols) == n:
+        if tracker.rank == n:
             break
-        e = Vec.basis(field, n, i)
-        if tracker.try_add(e.entries):
-            cols.append(e)
-    return Mat.from_cols(field, cols, n)
+        if tracker.try_add(Vec.basis(field, n, i).entries):
+            out.append(i)
+    return out
+
+
+def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
+    """The inputs followed by the e_i of `completion_indices`, as columns."""
+    extra = [Vec.basis(field, n, i) for i in completion_indices(field, vectors, n)]
+    return Mat.from_cols(field, list(vectors) + extra, n)
 
 
 def companion(p: Poly) -> Mat:

@@ -104,7 +104,11 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
 
     Starts from e_1 and repeatedly absorbs the smallest-index canonical
     basis vector not yet annihilated, so the result is deterministic.
-    Each round strictly increases the degree, hence at most n rounds.
+    Each absorption strictly increases the degree.  The scan skips every
+    e_i inside an A-invariant span known to be annihilated: it starts as
+    the candidate's Krylov span and grows by the Krylov chain of each
+    vector tested or absorbed.  A skipped e_i is annihilated anyway, so
+    the escapes found are the ones an exhaustive scan would find.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -113,25 +117,37 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
         raise ValueError("empty matrix has no minimal polynomial")
     K = a.field
     acc = local_min_poly(a, Vec.basis(K, n, 0))
-    for _ in range(n + 1):
-        # A full Krylov chain means the candidate already annihilates A
-        # (it divides the degree-n characteristic polynomial and has
-        # degree n), so the column scan can be skipped.
-        if acc.mu.degree == n:
-            return acc
-        escape = None
-        for i in range(n):
-            if not eval_poly_vec(acc.mu, a, Vec.basis(K, n, i)).is_zero:
-                escape = i
-                break
-        if escape is None:
-            return acc
-        other = local_min_poly(a, Vec.basis(K, n, escape))
+    # A full Krylov chain means the candidate already annihilates A (it
+    # divides the degree-n characteristic polynomial and has degree n),
+    # so no scan is needed.
+    if acc.mu.degree == n:
+        return acc
+    known = SpanTracker(K, n)
+    for v in acc.krylov:
+        known.try_add(v.entries)
+    for i in range(1, n):
+        e = Vec.basis(K, n, i)
+        if known.contains(e.entries):
+            continue
+        chain = [e]
+        for _ in range(acc.mu.degree):
+            chain.append(a * chain[-1])
+        image = [K.dot(row, acc.mu.coeffs) for row in zip(*(w.entries for w in chain))]
+        if all(K.is_zero(x) for x in image):
+            for w in chain:
+                if not known.try_add(w.entries):
+                    break
+            continue
+        other = local_min_poly(a, e)
         grown = combine_lcm_vector(a, acc, other)
         if grown.mu.degree <= acc.mu.degree:
             raise InternalInvariantError("combination failed to grow the degree")
         acc = grown
-    raise InternalInvariantError("minimal polynomial loop failed to terminate")
+        if acc.mu.degree == n:
+            return acc
+        for v in acc.krylov + other.krylov:
+            known.try_add(v.entries)
+    return acc
 
 
 def min_poly(a: Mat) -> Poly:

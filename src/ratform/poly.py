@@ -8,7 +8,7 @@ zero polynomial has an empty coefficient list; its degree is the float
 
 from __future__ import annotations
 
-from .errors import MixedFieldError
+from .errors import InternalInvariantError, MixedFieldError
 from .field import Field
 
 __all__ = ["Poly", "poly_gcd", "poly_lcm", "poly_pow_mod", "split_gcd"]
@@ -226,7 +226,8 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero or q.is_zero:
         raise ValueError("lcm of a zero polynomial")
     quot, rem = divmod(p * q, poly_gcd(p, q))
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise InternalInvariantError("gcd does not divide the product")
     return quot.monic()
 
 
@@ -270,9 +271,11 @@ def split_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly, Poly]:
         raise ValueError("gcd must be a proper divisor of both arguments")
     p_red, p_rem = divmod(p, g)
     q_red, q_rem = divmod(q, g)
-    assert p_rem.is_zero and q_rem.is_zero
+    if not (p_rem.is_zero and q_rem.is_zero):
+        raise InternalInvariantError("gcd does not divide both arguments")
     power = poly_pow_mod(q_red, g.degree, g)
     h = poly_gcd(g, power)
     k, k_rem = divmod(g, h)
-    assert k_rem.is_zero
+    if not k_rem.is_zero:
+        raise InternalInvariantError("split factor does not divide the gcd")
     return h, k.monic(), p_red, q_red

@@ -1,20 +1,25 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix, rand_nilpotent
+from conftest import rand_invertible, rand_matrix, rand_monic, rand_nilpotent, rand_scalar
 from ratform import (
     Mat,
     Poly,
     PrimeField,
     Rationals,
+    Vec,
     block_diag,
     char_poly,
     char_poly_oracle,
     companion,
+    eval_poly_vec,
+    format_matrix,
     invariant_factors,
     inverse,
     is_similar,
+    local_min_poly,
     min_poly,
     nilpotent_jnf,
     rank,
@@ -282,3 +287,279 @@ def test_nilpotent_jnf_random_contract():
         assert got.partition == sorted(got.partition, reverse=True)
         assert got.partition == _rank_partition(a)
         assert got.partition == [f.degree for f in invariant_factors(a)]
+
+
+def _scrambled_chain(K, rng, n, blocks):
+    """S^-1 * block_diag(companion(P_i)) * S for a random divisibility chain.
+
+    The degrees are a random partition of n into `blocks` parts; each
+    factor is the next smaller one times a random monic cofactor.  S is
+    a product of random unit lower and upper triangular matrices, with
+    entries in {-1, 0, 1} over Q so the input stays integral.
+    """
+    cuts = sorted(rng.sample(range(1, n), blocks - 1))
+    degrees = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
+    chain = [rand_monic(K, rng, degrees[-1])]
+    for hi, lo in zip(degrees[-2::-1], degrees[:0:-1]):
+        chain.insert(0, chain[0] * rand_monic(K, rng, hi - lo))
+    form = block_diag([companion(f) for f in chain])
+    small = K.kind == "rational"
+
+    def draw():
+        return K.from_int(rng.randint(-1, 1)) if small else rand_scalar(K, rng)
+
+    def unit(i, j):
+        return K.one if i == j else K.zero
+
+    lower = Mat(K, [[draw() if j < i else unit(i, j) for j in range(n)] for i in range(n)])
+    upper = Mat(K, [[draw() if j > i else unit(i, j) for j in range(n)] for i in range(n)])
+    s = lower * upper
+    return chain, inverse(s) * form * s
+
+
+def _pinned_input(field, n, kind, blocks, seed):
+    K = Rationals() if field == "Q" else PrimeField(int(field[2:]))
+    rng = random.Random(seed)
+    if kind == "uniform":
+        return rand_matrix(K, rng, n)
+    if kind == "scalar":
+        c = rand_scalar(K, rng)
+        return Mat(K, [[c if i == j else K.zero for j in range(n)] for i in range(n)])
+    return _scrambled_chain(K, rng, n, blocks)[1]
+
+
+def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
+    K = PrimeField(101)
+    n = 40
+    two = Mat(K, [[2 if i == j else 0 for j in range(n)] for i in range(n)])
+    K.reset_op_count()
+    assert rnf(two).factors == [P(K, -2, 1)] * n
+    # 40 blocks; a full conjugation per block took 34,403,426
+    assert K.op_count <= 4_000_000
+    # criterion 8's matrices, against the counts of the per-block conjugation
+    rng = random.Random(20240809)
+    for n, before in ((10, 16_530), (20, 137_050), (40, 1_119_998)):
+        K = PrimeField(101)
+        a = Mat(K, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
+        K.reset_op_count()
+        rnf(a)
+        assert K.op_count <= before, n
+
+
+def _first_escape(a):
+    """0-based index of the first e_i that the minimal polynomial of e_1 leaves nonzero."""
+    K = a.field
+    mu = local_min_poly(a, Vec.basis(K, a.nrows, 0)).mu
+    for i in range(a.nrows):
+        if not eval_poly_vec(mu, a, Vec.basis(K, a.nrows, i)).is_zero:
+            return i
+    return None
+
+
+def test_min_poly_and_invariant_factors_match_generated_chains():
+    """An oracle beyond the 8x8 cofactor cap, on derogatory inputs.
+
+    On a scrambled chain e_1 usually realizes the minimal polynomial at
+    once.  The same companion blocks unscrambled and smallest first keep
+    e_1 .. e_(deg P_r) inside the first block, so the escape scan passes
+    them, and often equal later blocks, before the first escape.
+    """
+    late = 0
+    for K, seed in ((PrimeField(7), 139), (Rationals(), 149)):
+        rng = random.Random(seed)
+        for n in range(9, 17):
+            blocks = rng.randint(2, 5)
+            chain, a = _scrambled_chain(K, rng, n, blocks)
+            assert min_poly(a) == chain[0]
+            assert invariant_factors(a) == chain
+            ascending = block_diag([companion(f) for f in reversed(chain)])
+            assert min_poly(ascending) == chain[0]
+            assert invariant_factors(ascending) == chain
+            escape = _first_escape(ascending)
+            late += escape is not None and escape >= 2  # past e_2
+    assert late >= 8
+
+
+# (field, n, kind, blocks, seed), the invariant factors, and the sha256 of
+# format_matrix(transform).  Recorded with the per-block full conjugation
+# that preceded the quotient-coordinate peel: rnf's transform is part of
+# its output, so every change of algorithm must reproduce it bit for bit.
+PINNED_RNF = [
+    (
+        ("GF7", 1, "uniform", 1, 1),
+        ["X + 6"],
+        "11f7d045294fc439831b89bb0796e5db9ae7ade094252b65bde1b7f8b043ed50",
+    ),
+    (
+        ("GF7", 3, "uniform", 1, 2),
+        ["X^3 + 3*X^2 + 3"],
+        "29e73c37a50220f272cfb60bd269c64e69f7c8fa4d15226f80f78d48cfd5a2e0",
+    ),
+    (
+        ("GF7", 6, "uniform", 1, 3),
+        ["X^6 + 6*X^5 + 2*X^4 + 4*X^3 + 3*X^2 + 2*X + 4"],
+        "bd7220f382445f9dc785ff5e6111e9409ef0a643db8d0c065ff1762db1a1f5ff",
+    ),
+    (
+        ("GF7", 9, "uniform", 1, 4),
+        ["X^9 + 5*X^8 + 2*X^7 + 6*X^6 + 6*X^5 + 2*X^4 + 5*X^3 + 3*X^2 + 5*X + 2"],
+        "c942ccc67d24ea1b674459f50f356eb8d0c24cd90721e704531785b093d43d0f",
+    ),
+    (
+        ("GF7", 12, "uniform", 1, 5),
+        ["X^12 + 3*X^10 + 6*X^9 + 6*X^8 + 3*X^7 + 2*X^6 + X^5 + X^4 + 5*X^3 + 2*X^2 + 3*X + 3"],
+        "47301d5d021db38174f6d7f326d797e1bc7c4901954975e7d70d7f199af86dfb",
+    ),
+    (
+        ("GF7", 5, "chain", 2, 6),
+        ["X^4 + 3*X^3 + 2*X^2 + 5*X + 4", "X + 3"],
+        "7827b20b9e111c28c2e66f48471819eb22c4de850f868cc6a72b575960739244",
+    ),
+    (
+        ("GF7", 8, "chain", 3, 7),
+        ["X^5 + 6*X^2", "X^2 + X + 1", "X + 3"],
+        "f7ee834313ce02c8a842a24e5374bd5871bb1e9f02fd0082f6a3c9d35c378143",
+    ),
+    (
+        ("GF7", 10, "chain", 4, 8),
+        ["X^4 + 4*X^2 + 5*X", "X^3 + 4*X + 5", "X^2 + 2*X + 1", "X + 1"],
+        "1b932481bb4b294bf4c9f58db83d348465e8eb08ec1d3a914bec20f8daf70acf",
+    ),
+    (
+        ("GF7", 14, "chain", 5, 9),
+        ["X^5 + 3*X^3 + 3*X^2 + 6*X", "X^4 + 3*X^2 + 3*X + 6", "X^2 + 2*X + 1", "X^2 + 2*X + 1", "X + 1"],
+        "c35db1368be06605598c0fbfb6b2aac42452f5b559f669819134bde0846ef39f",
+    ),
+    (
+        ("GF7", 11, "chain", 8, 10),
+        ["X^2 + 2*X + 4", "X^2 + 2*X + 4", "X^2 + 2*X + 4", "X + 3", "X + 3", "X + 3", "X + 3", "X + 3"],
+        "86aed39945834fd4f8a0391c7436f5e9ca09bcb5300d9685acc01c72e1ca550e",
+    ),
+    (
+        ("GF7", 4, "scalar", 4, 11),
+        ["X + 4", "X + 4", "X + 4", "X + 4"],
+        "5eeee74fa7a68900b10db169b978824f450643a5bd51494a34e92625be2ab3c3",
+    ),
+    (
+        ("GF7", 7, "chain", 7, 12),
+        ["X + 2", "X + 2", "X + 2", "X + 2", "X + 2", "X + 2", "X + 2"],
+        "b0dafd05ac7bbf163bbc61a246780ef81c52edf856430250ba364c3b1b50bc6b",
+    ),
+    (
+        ("GF101", 2, "uniform", 1, 13),
+        ["X^2 + 82*X + 56"],
+        "7a74c1584644e59eedda62e3153cd895b188ef2f7af1314642da0c5437e37224",
+    ),
+    (
+        ("GF101", 7, "uniform", 1, 14),
+        ["X^7 + 21*X^6 + 73*X^5 + 12*X^4 + 7*X^3 + 27*X^2 + 77*X + 62"],
+        "53fbac821f9d5cbb41265189f17e55493b77b812534ef61f4ecb0c9ca322a3b8",
+    ),
+    (
+        ("GF101", 11, "uniform", 1, 15),
+        ["X^11 + 58*X^10 + 52*X^9 + 36*X^8 + 51*X^7 + 76*X^6 + 30*X^5 + 39*X^4 + 15*X^3 + 46*X^2 + 50*X + 17"],
+        "8430b987ff3b386c09fba226f21b2e79d748c9ee10100defc81e492f40de546d",
+    ),
+    (
+        ("GF101", 14, "uniform", 1, 16),
+        ["X^14 + 36*X^13 + 67*X^12 + 94*X^11 + 63*X^10 + 53*X^9 + 6*X^8 + 29*X^7 + 45*X^6 + 51*X^5 + 93*X^4 + 65*X^3 + 29*X^2 + 64*X + 32"],
+        "5394868d55521d1dc29d7078ff8138a1887b01bc288674f077c68da6f39d9aa2",
+    ),
+    (
+        ("GF101", 6, "chain", 3, 17),
+        ["X^4 + 60*X^3 + 65*X^2 + 38*X + 31", "X + 38", "X + 38"],
+        "348b443f664754441a5b51e9223a2c1acdea9b6bf06cfffddb2a12a3cd019a60",
+    ),
+    (
+        ("GF101", 9, "chain", 2, 18),
+        ["X^6 + 82*X^5 + 24*X^4 + 29*X^3 + 37*X^2 + 39*X + 24", "X^3 + 57*X^2 + 84*X + 15"],
+        "5ecf748fab55987389fcc59df0dd6c9f715db6e620ea16d959fc27a05320ee83",
+    ),
+    (
+        ("GF101", 12, "chain", 6, 19),
+        ["X^4 + 85*X^3 + 100*X^2 + 88*X + 15", "X^3 + 18*X^2 + 5*X + 56", "X^2 + 75*X + 38", "X + 25", "X + 25", "X + 25"],
+        "6ef66dddb1fd93a5294d4900c44347279071d8e0d3161c3f7aafbdd615118dc2",
+    ),
+    (
+        ("GF101", 14, "chain", 3, 20),
+        ["X^11 + 100*X^10 + 12*X^9 + 99*X^8 + 14*X^7 + 67*X^6 + 55*X^5 + 33*X^3 + 44*X^2 + 23*X + 57", "X^2 + 97*X + 3", "X + 100"],
+        "1bff2ecbfed3c660956b0194e6c6bfb13f43fd23ed94e080bf2756a5ca10ea68",
+    ),
+    (
+        ("GF101", 13, "chain", 10, 21),
+        ["X^2 + 30*X + 46", "X^2 + 30*X + 46", "X^2 + 30*X + 46", "X + 64", "X + 64", "X + 64", "X + 64", "X + 64", "X + 64", "X + 64"],
+        "7ede6c703fc8eba1c54b4b34ea2c22a9b05a156703f8137aa8416843464fdd26",
+    ),
+    (
+        ("GF101", 10, "scalar", 10, 22),
+        ["X + 84", "X + 84", "X + 84", "X + 84", "X + 84", "X + 84", "X + 84", "X + 84", "X + 84", "X + 84"],
+        "e058a756f499db5206736b2750ea514480ed0d215609dfb3a988fad8e094fac1",
+    ),
+    (
+        ("Q", 1, "uniform", 1, 23),
+        ["X - 3"],
+        "0aa9d32045f4f05e1d560f24f234ca33ad685a69e2e7ce25c55f34470a7f36b0",
+    ),
+    (
+        ("Q", 4, "uniform", 1, 24),
+        ["X^4 - 5*X^3 + 10*X^2 - 24*X + 30"],
+        "98527b6e94d21ed333eb6ecc435cd5f9c9f0aa0f4e32f6c0af825dd7f9d9b68a",
+    ),
+    (
+        ("Q", 8, "uniform", 1, 25),
+        ["X^8 + 5*X^7 - 21*X^6 - 101*X^5 - 453*X^4 - 2628*X^3 - 6047*X^2 + 22484*X + 63958"],
+        "9e992c6563a4fe863220d10450c65280c95fb668ff9f85da1c8ab7d6f804aa76",
+    ),
+    (
+        ("Q", 10, "uniform", 1, 26),
+        ["X^10 - 5*X^9 + 28*X^8 - 225*X^7 + 467*X^6 - 5583*X^5 + 10743*X^4 - 40648*X^3 + 369736*X^2 - 61134*X + 554660"],
+        "cfff1358e4076c803512063ce173fb3b799979fdfdf470c60fa5d0f33398c9b9",
+    ),
+    (
+        ("Q", 4, "chain", 2, 27),
+        ["X^3 - X^2 + 2*X", "X"],
+        "db4e0527a01c33ade4000754c56e0e914d663fd6c6c6d25591c17ab2cb3305ed",
+    ),
+    (
+        ("Q", 7, "chain", 3, 28),
+        ["X^5 - X^4 - 4*X^3 + 3*X + 1", "X + 1", "X + 1"],
+        "1a63cd34547f6e885f49f20ff42d260e5de7fa03f991ae14155a8016013c79e2",
+    ),
+    (
+        ("Q", 9, "chain", 4, 29),
+        ["X^4 + X^3 - 10*X^2 - 13*X - 3", "X^2 + 4*X + 3", "X^2 + 4*X + 3", "X + 3"],
+        "747737dffa6c83254eabb891339081c3cce36378f9a2bd2195aaccc5bb3a0dde",
+    ),
+    (
+        ("Q", 12, "chain", 5, 30),
+        ["X^4 - X^3 - 3*X^2 + 3*X", "X^3 - X^2 - 3*X + 3", "X^3 - X^2 - 3*X + 3", "X - 1", "X - 1"],
+        "8bbf4f9d0096e42f1709f264869db2a775fde5e683b22be3887db314d62bf722",
+    ),
+    (
+        ("Q", 10, "chain", 7, 31),
+        ["X^3 - 4*X^2 + X + 6", "X^2 - 5*X + 6", "X - 2", "X - 2", "X - 2", "X - 2", "X - 2"],
+        "dd388f81eb2fbc173beffbb03a62b5802a60bce857d7c8a95ff02fd3caec8247",
+    ),
+    (
+        ("Q", 5, "scalar", 5, 32),
+        ["X + 3", "X + 3", "X + 3", "X + 3", "X + 3"],
+        "2ea0a0456448f256e0a7fac94a1787a4a97cde6cef1a1a285c23b2e569311a36",
+    ),
+    (
+        ("Q", 14, "scalar", 14, 33),
+        ["X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1", "X - 1"],
+        "a31c2e01fe8e55350512e2e3608811c5d45a9c581f85239ecd7f2f768736315a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, factors, digest",
+    PINNED_RNF,
+    ids=["{}-n{}-{}{}-s{}".format(*case) for case, _, _ in PINNED_RNF],
+)
+def test_rnf_transform_is_pinned(case, factors, digest):
+    got = rnf(_pinned_input(*case))
+    assert [str(f) for f in got.factors] == factors
+    assert got.rnf == block_diag([companion(f) for f in got.factors])
+    assert hashlib.sha256(format_matrix(got.transform).encode()).hexdigest() == digest

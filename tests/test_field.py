@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ratform import PrimeField, Rationals
+from ratform.field import PRIME_BOUND
 
 
 def test_rational_addition_example():
@@ -30,6 +32,22 @@ def test_modulus_must_be_prime():
             PrimeField(bad)
     for good in (2, 3, 7, 101):
         PrimeField(good)
+
+
+def test_primality_of_large_moduli_is_proven_quickly():
+    # Miller-Rabin takes well under a millisecond for all three; trial
+    # division on 2**61 - 1 ran for minutes, so the bound is a wide margin.
+    start = time.perf_counter()
+    for good in (2**61 - 1, 998244353, 1000000007):
+        PrimeField(good)
+    assert time.perf_counter() - start < 1.0
+    # Two Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and
+    # psi_12, the least strong pseudoprime to every prime base up to 37.
+    for bad in (561, 41041, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(bad)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        PrimeField(2**89 - 1)
 
 
 @pytest.mark.parametrize("K", [Rationals(), PrimeField(7)])
