@@ -26,6 +26,7 @@ from .linalg import (
     completion_indices,
     inverse,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -186,7 +187,7 @@ def _certify(a: Mat, cols: list[list], factors: list[Poly], offsets: list[int]) 
         if lhs != rhs:
             block = bisect_right(offsets, c) - 1
             raise _fail("certify", block, f"A*T and T*R differ in column {c}")
-    pivots = rref(t).pivots
+    pivots = pivot_columns(t)
     if len(pivots) < n:
         c = next(i for i, p in enumerate(pivots + [n]) if p != i)
         raise _fail("certify", bisect_right(offsets, c) - 1, f"column {c} of T is dependent")

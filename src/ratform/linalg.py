@@ -21,6 +21,7 @@ __all__ = [
     "SpanTracker",
     "rref",
     "rank",
+    "pivot_columns",
     "inverse",
     "kernel_basis",
     "solve",
@@ -235,20 +236,6 @@ class Mat:
             return Vec(K, [K.dot(row, other.entries) for row in self.data])
         return NotImplemented
 
-    def __pow__(self, e: int):
-        if not self.is_square:
-            raise DimensionError("power of a non-square matrix")
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Mat.identity(self.field, self.nrows)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
-
     @property
     def is_zero(self) -> bool:
         K = self.field
@@ -321,8 +308,26 @@ def rref(a: Mat, prefer_small_pivots: bool = False) -> Rref:
     return Rref(Mat(K, m), pivots, len(pivots))
 
 
+def pivot_columns(a: Mat) -> list[int]:
+    """The pivot columns of `rref(a)`, by forward elimination only.
+
+    They are the columns outside the span of the ones before them, so a
+    `SpanTracker` fed the columns in order finds them without reducing
+    above any pivot: on a full-rank n x n matrix that is about 2n^3/3
+    field operations against about 2n^3 for the reduced form.
+    """
+    tracker = SpanTracker(a.field, a.nrows)
+    pivots: list[int] = []
+    for j, col in enumerate(zip(*a.data)):
+        if tracker.rank == a.nrows:
+            break
+        if tracker.try_add(col):
+            pivots.append(j)
+    return pivots
+
+
 def rank(a: Mat) -> int:
-    return rref(a).rank
+    return len(pivot_columns(a))
 
 
 def inverse(a: Mat) -> Mat:
@@ -381,61 +386,90 @@ def solve(a: Mat, b: Vec):
 
 def column_space_basis(a: Mat) -> list[Vec]:
     """The original columns at the pivot positions of the rref."""
-    _, pivots, _ = rref(a)
-    return [a.col(j) for j in pivots]
+    return [a.col(j) for j in pivot_columns(a)]
 
 
 class SpanTracker:
     """Incrementally row-reduced set of vectors for independence tests.
 
-    Rows are kept mutually reduced with unit pivots, so testing a new
-    vector is a single pass costing O(dim * rank) field operations.
+    Rows are kept in echelon form in insertion order: each new row is
+    reduced by the rows before it and scaled to a unit pivot at its
+    first non-zero entry, and earlier rows are never touched again.
+    Testing a vector is one forward pass costing O(dim * rank) field
+    operations.  Each row also records its pivot scale and the
+    multipliers (j, c) it was reduced by, which is enough to write a
+    vector that adds nothing over the vectors that were added
+    (`dependence`).
     """
 
-    __slots__ = ("field", "dim", "rows")
+    __slots__ = ("field", "dim", "rows", "steps", "relation")
 
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.dim = dim
-        self.rows: list[tuple[int, list]] = []  # (pivot index, reduced row)
+        self.rows: list[tuple[int, list]] = []  # (pivot, entries after the pivot)
+        self.steps: list[tuple] = []  # (pivot scale, multipliers) per row
+        self.relation = None  # multipliers of the last vector try_add rejected
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def residual(self, entries) -> list:
+    def _reduce(self, entries) -> tuple[list, list]:
+        """The residual of a vector and the multipliers (j, c) of rows taken off."""
         K = self.field
         v = list(entries)
-        for piv, row in self.rows:
+        multipliers = []
+        for j, (piv, tail) in enumerate(self.rows):
             c = v[piv]
             if K.is_zero(c):
                 continue
-            v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
-        return v
+            v[piv] = K.zero
+            v[piv + 1 :] = [K.sub(x, K.mul(c, y)) for x, y in zip(v[piv + 1 :], tail)]
+            multipliers.append((j, c))
+        return v, multipliers
 
     def contains(self, entries) -> bool:
         K = self.field
-        return all(K.is_zero(x) for x in self.residual(entries))
+        return all(K.is_zero(x) for x in self._reduce(entries)[0])
 
     def try_add(self, entries) -> bool:
         """Add the vector if it enlarges the span; report whether it did."""
         K = self.field
-        v = self.residual(entries)
-        pivot = None
-        for i, x in enumerate(v):
-            if not K.is_zero(x):
-                pivot = i
-                break
+        v, multipliers = self._reduce(entries)
+        pivot = next((i for i, x in enumerate(v) if not K.is_zero(x)), None)
         if pivot is None:
+            self.relation = multipliers
             return False
         s = K.inv(v[pivot])
-        v = [K.mul(s, x) for x in v]
-        for k, (piv, row) in enumerate(self.rows):
-            c = row[pivot]
-            if not K.is_zero(c):
-                self.rows[k] = (piv, [K.sub(x, K.mul(c, y)) for x, y in zip(row, v)])
-        self.rows.append((pivot, v))
+        self.rows.append((pivot, [K.mul(s, x) for x in v[pivot + 1 :]]))
+        self.steps.append((s, multipliers))
         return True
+
+    def dependence(self) -> list:
+        """Coordinates of the last vector `try_add` rejected over the added ones.
+
+        The vector is the sum of c * row_j over its multipliers, and row k
+        is s_k * (u_k - sum of c * row_j over its own), with u_k the k-th
+        vector added; back-substitution from the last row down turns row
+        coefficients into coefficients of the u_k in O(rank^2) field
+        operations.  Rows are never changed, so the answer stays valid
+        as later vectors are added (its trailing coordinates are zero).
+        """
+        if self.relation is None:
+            raise ValueError("no vector has been rejected")
+        K = self.field
+        y = [K.zero] * len(self.rows)
+        for j, c in self.relation:
+            y[j] = c
+        for k in range(len(y) - 1, -1, -1):
+            if K.is_zero(y[k]):
+                continue
+            s, multipliers = self.steps[k]
+            y[k] = K.mul(y[k], s)
+            for j, c in multipliers:
+                y[j] = K.sub(y[j], K.mul(y[k], c))
+        return y
 
 
 def completion_indices(field: Field, vectors: list[Vec], n: int) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, InternalInvariantError
-from .linalg import Mat, SpanTracker, Vec, eval_poly_vec, solve
+from .linalg import Mat, SpanTracker, Vec, eval_poly_vec
 from .poly import Poly, poly_gcd, poly_lcm, split_gcd
 
 __all__ = [
@@ -45,7 +45,8 @@ def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
     Grows the Krylov sequence one vector at a time against an
     incrementally reduced copy; at the first dependence
     A^m x = c_0 x + ... + c_{m-1} A^{m-1} x the result is
-    X^m - c_{m-1} X^{m-1} - ... - c_0.
+    X^m - c_{m-1} X^{m-1} - ... - c_0, with the c_i read off the same
+    elimination.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -60,11 +61,7 @@ def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
     while tracker.try_add(cur.entries):
         krylov.append(cur)
         cur = a * cur
-    m = len(krylov)
-    coeffs = solve(Mat.from_cols(K, krylov, a.nrows), cur)
-    if coeffs is None:
-        raise InternalInvariantError("dependent Krylov vector has no representation")
-    mu = Poly(K, [K.neg(c) for c in coeffs.entries] + [K.one])
+    mu = Poly(K, [K.neg(c) for c in tracker.dependence()] + [K.one])
     return LocalAnnihilator(vector=x, mu=mu, krylov=krylov)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from ratform import (
     invariant_factors,
     inverse,
     is_similar,
+    linalg,
     local_min_poly,
     min_poly,
     nilpotent_jnf,
@@ -336,14 +338,42 @@ def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
     assert rnf(two).factors == [P(K, -2, 1)] * n
     # 40 blocks; a full conjugation per block took 34,403,426
     assert K.op_count <= 4_000_000
-    # criterion 8's matrices, against the counts of the per-block conjugation
+    # criterion 8's matrices and a generic n=48, at the counts of one
+    # forward elimination per Krylov chain and a forward-only rank for
+    # the certificate; re-solving the chain and a full rref of T took
+    # 9,520 / 77,430 / 627,158 / 1,087,440
     rng = random.Random(20240809)
-    for n, before in ((10, 16_530), (20, 137_050), (40, 1_119_998)):
+    for n, bound in ((10, 5_460), (20, 43_053), (40, 342_069), (48, 590_761)):
         K = PrimeField(101)
         a = Mat(K, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
         K.reset_op_count()
-        rnf(a)
-        assert K.op_count <= before, n
+        assert len(rnf(a).factors) == 1
+        assert K.op_count <= bound, n
+
+
+def test_cyclic_rnf_needs_neither_solve_nor_rref(monkeypatch):
+    """A cyclic input goes through one Krylov elimination and the certificate only."""
+    K = PrimeField(101)
+    a = rand_matrix(K, random.Random(89), 12)
+    expected = rnf(a)
+    assert len(expected.factors) == 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the cyclic path")
+
+    patched = 0
+    for name in ("solve", "rref"):
+        original = getattr(linalg, name)
+        for key, module in list(sys.modules.items()):
+            if key == "ratform" or key.startswith("ratform."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+                        patched += 1
+    assert patched >= 4  # linalg's own names and canonical's imports
+    got = rnf(a)
+    assert got.factors == expected.factors
+    assert got.transform == expected.transform
 
 
 def _first_escape(a):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_matrix, rand_monic
+from conftest import rand_matrix, rand_monic, rand_scalar
 from ratform import (
     Mat,
     Poly,
@@ -21,6 +21,7 @@ from ratform import (
     rref,
     solve,
 )
+from ratform.linalg import SpanTracker, pivot_columns
 from ratform.errors import DimensionError, MixedFieldError, SingularMatrixError
 
 
@@ -153,8 +154,6 @@ def test_complete_to_basis_always_invertible():
         n = rng.randint(1, 6)
         cols = []
         probe = rand_matrix(K, rng, n, rng.randint(0, n))
-        from ratform.linalg import SpanTracker
-
         tracker = SpanTracker(K, n)
         for j in range(probe.ncols):
             v = probe.col(j)
@@ -220,3 +219,76 @@ def test_char_poly_oracle_examples():
     assert char_poly_oracle(Mat.zeros(K, 2, 2)) == Poly.from_ints(K, [0, 0, 1])
     with pytest.raises(ValueError):
         char_poly_oracle(Mat.identity(K, 9))
+
+
+def _rank_deficient(K, rng, nrows, ncols):
+    """A product of random nrows x k and k x ncols factors, k below both sizes."""
+    k = rng.randint(0, max(0, min(nrows, ncols) - 1))
+    if k == 0:
+        return Mat.zeros(K, nrows, ncols)
+    return rand_matrix(K, rng, nrows, k) * rand_matrix(K, rng, k, ncols)
+
+
+@pytest.mark.parametrize("K", [PrimeField(7), Rationals()], ids=["GF7", "Q"])
+def test_pivot_columns_match_rref_on_rectangular_and_rank_deficient(K):
+    rng = random.Random(73)
+    deficient = 0
+    for trial in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 2:
+            a = _rank_deficient(K, rng, nrows, ncols)
+        else:
+            a = rand_matrix(K, rng, nrows, ncols)
+        expected = rref(a).pivots
+        deficient += len(expected) < min(nrows, ncols)
+        assert pivot_columns(a) == expected
+    assert deficient >= 60
+
+
+@pytest.mark.parametrize("K", [PrimeField(7), Rationals()], ids=["GF7", "Q"])
+def test_span_tracker_agrees_with_rank_on_planted_dependences(K):
+    rng = random.Random(79)
+    rejected = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        family: list[Vec] = []
+        for _ in range(rng.randint(1, n + 3)):
+            roll = rng.random()
+            if family and roll < 0.4:
+                # a random combination of vectors already in the family
+                v = Vec.zeros(K, n)
+                for w in rng.sample(family, rng.randint(1, len(family))):
+                    c = rand_scalar(K, rng)
+                    v = v + Vec(K, [K.mul(c, x) for x in w.entries])
+            elif roll < 0.5:
+                v = Vec.zeros(K, n)
+            else:
+                v = Vec(K, [rand_scalar(K, rng) for _ in range(n)])
+            family.append(v)
+        tracker = SpanTracker(K, n)
+        added: list[Vec] = []
+        for v in family:
+            before = rank(Mat.from_cols(K, added, n)) if added else 0
+            enlarges = rank(Mat.from_cols(K, added + [v], n)) > before
+            assert tracker.contains(v.entries) == (not enlarges)
+            assert tracker.try_add(v.entries) == enlarges
+            if enlarges:
+                added.append(v)
+                continue
+            rejected += 1
+            coords = tracker.dependence()
+            assert len(coords) == len(added)
+            rebuilt = [K.dot(row, coords) for row in zip(*(u.entries for u in added))]
+            assert (rebuilt == v.entries) if added else v.is_zero
+        assert tracker.rank == len(added)
+    assert rejected >= 60
+
+
+def test_span_tracker_dependence_needs_a_rejected_vector():
+    K = Rationals()
+    tracker = SpanTracker(K, 2)
+    assert tracker.try_add([K.one, K.zero])
+    with pytest.raises(ValueError):
+        tracker.dependence()
+    assert not tracker.try_add([K.from_int(3), K.zero])
+    assert tracker.dependence() == [K.from_int(3)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix, rand_vector
+from conftest import rand_invertible, rand_matrix, rand_scalar, rand_vector
 from ratform import (
     Mat,
     Poly,
@@ -21,6 +21,7 @@ from ratform import (
     min_poly_vector,
     poly_lcm,
     rank,
+    solve,
 )
 
 
@@ -61,6 +62,39 @@ def test_local_min_poly_annihilates_and_is_minimal():
         assert eval_poly_vec(got.mu, a, x).is_zero
         assert got.mu.is_monic and got.mu.degree == len(got.krylov) >= 1
         assert rank(Mat.from_cols(K, got.krylov, n)) == len(got.krylov)
+
+
+@pytest.mark.parametrize("K", [PrimeField(7), Rationals()], ids=["GF7", "Q"])
+def test_local_min_poly_coefficients_match_solving_the_krylov_system(K):
+    """The dependence read off the Krylov elimination equals an independent solve."""
+    rng = random.Random(83)
+    degrees = {"full": 0, "one": 0, "between": 0}
+    for trial in range(90):
+        n = rng.randint(3, 9)
+        kind = ("full", "one", "between")[trial % 3]
+        if kind == "full":
+            a = rand_matrix(K, rng, n)
+            x = rand_vector(K, rng, n, nonzero=True)
+        elif kind == "one":
+            c = rand_scalar(K, rng)
+            a = Mat(K, [[c if i == j else K.zero for j in range(n)] for i in range(n)])
+            x = rand_vector(K, rng, n, nonzero=True)
+        else:
+            k = rng.randint(2, n - 1)
+            a = block_diag([rand_matrix(K, rng, k), rand_matrix(K, rng, n - k)])
+            x = Vec(K, rand_vector(K, rng, k, nonzero=True).entries + [K.zero] * (n - k))
+        got = local_min_poly(a, x)
+        m = got.mu.degree
+        coeffs = solve(Mat.from_cols(K, got.krylov, n), a * got.krylov[-1])
+        assert coeffs is not None
+        assert got.mu.coeffs == [K.neg(c) for c in coeffs.entries] + [K.one]
+        if m == n:
+            degrees["full"] += 1
+        elif m == 1:
+            degrees["one"] += 1
+        else:
+            degrees["between"] += 1
+    assert min(degrees.values()) >= 20, degrees
 
 
 def test_divisor_characterization():
