@@ -110,7 +110,7 @@ def _split_quotient(sub: Mat, krylov: list[Vec]) -> tuple[list[int], list[list],
     coupling = [row[d:] for row in reduced.data]
     cols = list(zip(*coupling))
     rest = [
-        [K.sub(sub.data[r][s], K.dot(rows[r], c)) for s, c in zip(keep, cols)]
+        [K.sub(sub.data[r][s], y) for s, y in zip(keep, K.matvec(cols, rows[r]))]
         for r in keep
     ]
     return keep, coupling, Mat(K, rest)
@@ -150,7 +150,7 @@ def _clear_couplings(head: Poly, lead: list[list], chain: list[Poly]) -> list[li
         tops = [[K.zero] * h]
         for k in range(d):
             tops.append(times_sub(tops[-1], t + k))
-        image = [K.dot([y[r] for y in tops[1:]], factor.coeffs[1:]) for r in range(h)]
+        image = K.matvec(list(zip(*tops[1:])), factor.coeffs[1:])
         quotient, remainder = divmod(Poly(K, image), factor)
         if not remainder.is_zero:
             raise InternalInvariantError(f"coupling polynomial of later block {i} is not divisible")
@@ -173,7 +173,7 @@ def _times_form(cols: list[list], factors: list[Poly]) -> list[list]:
         d = f.degree
         block = cols[off : off + d]
         out.extend(block[1:])
-        out.append([K.neg(K.dot(row, f.coeffs[:d])) for row in zip(*block)])
+        out.append([K.neg(y) for y in K.matvec(list(zip(*block)), f.coeffs[:d])])
         off += d
     return out
 
@@ -242,7 +242,7 @@ def rnf(a: Mat) -> RnfResult:
             raise _fail("peel", j, str(exc)) from exc
         for row in upper[:off]:
             tail = row[off:]
-            row[off:] = [K.dot(tail, v.entries) for v in ann.krylov] + [tail[s] for s in keep]
+            row[off:] = K.matvec([v.entries for v in ann.krylov], tail) + [tail[s] for s in keep]
         for v in ann.krylov:
             col = [K.zero] * n
             for s, x in zip(basis, v.entries):
@@ -261,10 +261,10 @@ def rnf(a: Mat) -> RnfResult:
             raise _fail("couple", j, str(exc)) from exc
         for row in upper[:o]:
             head = row[o : o + h]
-            row[o + h :] = [K.add(y, K.dot(head, xc)) for y, xc in zip(row[o + h :], x)]
+            row[o + h :] = [K.add(y, z) for y, z in zip(row[o + h :], K.matvec(x, head))]
         heads = list(zip(*cols[o : o + h]))
         for c, xc in enumerate(x, o + h):
-            cols[c] = [K.add(y, K.dot(hr, xc)) for y, hr in zip(cols[c], heads)]
+            cols[c] = [K.add(y, z) for y, z in zip(cols[c], K.matvec(heads, xc))]
     transform = _certify(a, cols, factors, offsets)
     form = block_diag([companion(f) for f in factors])
     return RnfResult(factors=factors, rnf=form, transform=transform)
@@ -328,7 +328,7 @@ def _intersect_spans(u: list[Vec], w: list[Vec], K, n: int) -> list[Vec]:
     for rel in kernel_basis(combined):
         v = [K.zero] * n
         for j, c in enumerate(rel.entries[: len(u)]):
-            if K.is_zero(c):
+            if not c:
                 continue
             for i in range(n):
                 v[i] = K.add(v[i], K.mul(c, u[j].entries[i]))

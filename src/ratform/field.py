@@ -8,13 +8,14 @@ operations performed -- useful for checking that an algorithm's cost
 scales polynomially.
 
 Because the representations are canonical, `==` on scalar values is
-exact mathematical equality.
+exact mathematical equality and zero is the only falsy value.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 __all__ = ["Field", "Rationals", "PrimeField"]
 
@@ -57,10 +58,15 @@ class Field:
     """Scalar context: arithmetic, parsing/formatting, operation count.
 
     Instances are immutable apart from `op_count`, a running tally of the
-    arithmetic operations (add, sub, mul, div, neg, inv and the fused dot
-    product) executed through the context.  Two contexts compare equal iff
-    they describe the same field, so values may flow between structures
-    built from equal contexts.
+    arithmetic operations executed through the context.  Scalar methods
+    (add, sub, mul, div, neg, inv) count one each; the row-level methods
+    (dot, matvec, sub_scaled, scale) count in one step exactly what the
+    equivalent scalar calls would.  Two contexts compare equal iff they
+    describe the same field, so values may flow between structures built
+    from equal contexts.
+
+    Values are canonical, so a value is zero iff it is falsy and `==` is
+    equality in the field; neither test counts as an operation.
     """
 
     __slots__ = ("op_count",)
@@ -105,8 +111,22 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
+    # -- row-level arithmetic: one comprehension and one count per call --
+
     def dot(self, xs, ys):
         """Sum of pairwise products; counted as len muls + len-1 adds."""
+        raise NotImplementedError
+
+    def matvec(self, rows, v):
+        """[dot(row, v) for row in rows], counted as that many dots."""
+        raise NotImplementedError
+
+    def sub_scaled(self, xs, c, ys):
+        """[x - c*y] over equal-length rows; counted as a mul and a sub each."""
+        raise NotImplementedError
+
+    def scale(self, c, xs):
+        """[c*x for x in xs]; counted as one mul each."""
         raise NotImplementedError
 
     # -- conversions --
@@ -119,14 +139,6 @@ class Field:
 
     def format(self, a) -> str:
         raise NotImplementedError
-
-    # -- predicates (not counted as field operations) --
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
 
 class Rationals(Field):
@@ -174,7 +186,22 @@ class Rationals(Field):
         if n == 0:
             return self.zero
         self.op_count += 2 * n - 1
-        return sum(x * y for x, y in zip(xs, ys))
+        return sum(map(mul, xs, ys))
+
+    def matvec(self, rows, v):
+        n = len(v)
+        if n == 0:
+            return [self.zero] * len(rows)
+        self.op_count += len(rows) * (2 * n - 1)
+        return [sum(map(mul, row, v)) for row in rows]
+
+    def sub_scaled(self, xs, c, ys):
+        self.op_count += 2 * len(xs)
+        return [x - c * y for x, y in zip(xs, ys)]
+
+    def scale(self, c, xs):
+        self.op_count += len(xs)
+        return [c * x for x in xs]
 
     def from_int(self, k: int):
         return Fraction(k)
@@ -238,12 +265,32 @@ class PrimeField(Field):
         self.op_count += 1
         return pow(a, -1, self.p)
 
+    # Products and sums are exact Python ints, reduced once per result.
+
     def dot(self, xs, ys):
         n = len(xs)
         if n == 0:
             return 0
         self.op_count += 2 * n - 1
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
+        return sum(map(mul, xs, ys)) % self.p
+
+    def matvec(self, rows, v):
+        n = len(v)
+        if n == 0:
+            return [0] * len(rows)
+        self.op_count += len(rows) * (2 * n - 1)
+        p = self.p
+        return [sum(map(mul, row, v)) % p for row in rows]
+
+    def sub_scaled(self, xs, c, ys):
+        self.op_count += 2 * len(xs)
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    def scale(self, c, xs):
+        self.op_count += len(xs)
+        p = self.p
+        return [c * x % p for x in xs]
 
     def from_int(self, k: int):
         return k % self.p

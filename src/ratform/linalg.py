@@ -95,8 +95,7 @@ class Vec:
 
     @property
     def is_zero(self) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for a in self.entries)
+        return not any(self.entries)
 
     def __repr__(self):
         K = self.field
@@ -225,21 +224,18 @@ class Mat:
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}"
                 )
-            bcols = [[other.data[i][j] for i in range(other.nrows)] for j in range(other.ncols)]
-            return Mat(
-                K, [[K.dot(row, bc) for bc in bcols] for row in self.data]
-            )
+            bcols = list(zip(*other.data))
+            return Mat(K, [K.matvec(bcols, row) for row in self.data])
         if isinstance(other, Vec):
             self._require_same_field(other)
             if self.ncols != len(other.entries):
                 raise DimensionError("matrix-vector size mismatch")
-            return Vec(K, [K.dot(row, other.entries) for row in self.data])
+            return Vec(K, K.matvec(self.data, other.entries))
         return NotImplemented
 
     @property
     def is_zero(self) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def __str__(self):
         K = self.field
@@ -260,47 +256,28 @@ class Rref(NamedTuple):
     rank: int
 
 
-def _bit_size(x) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
-def rref(a: Mat, prefer_small_pivots: bool = False) -> Rref:
+def rref(a: Mat) -> Rref:
     """Reduced row echelon form with pivot column indices.
 
     Pivoting picks the first non-zero entry in column order; arithmetic
     is exact, so no magnitude-based pivoting is needed and the result is
-    deterministic.  Over the rationals, `prefer_small_pivots` instead
-    picks the candidate with the smallest bit size (first on ties) --
-    a performance toggle only, since the reduced form is unique either
-    way.
+    deterministic.
     """
     K = a.field
-    small = prefer_small_pivots and K.kind == "rational"
     m = [list(row) for row in a.data]
     nrows, ncols = a.nrows, a.ncols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not K.is_zero(m[i][c]):
-                if pivot_row is None or (
-                    small and _bit_size(m[i][c]) < _bit_size(m[pivot_row][c])
-                ):
-                    pivot_row = i
-                if not small:
-                    break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv_inv = K.inv(m[r][c])
-        m[r] = [K.mul(piv_inv, x) for x in m[r]]
+        m[r] = K.scale(K.inv(m[r][c]), m[r])
         for i in range(nrows):
-            if i == r or K.is_zero(m[i][c]):
-                continue
-            f = m[i][c]
-            m[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(m[i], m[r])]
+            if i != r and m[i][c]:
+                m[i] = K.sub_scaled(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -422,27 +399,26 @@ class SpanTracker:
         multipliers = []
         for j, (piv, tail) in enumerate(self.rows):
             c = v[piv]
-            if K.is_zero(c):
+            if not c:
                 continue
             v[piv] = K.zero
-            v[piv + 1 :] = [K.sub(x, K.mul(c, y)) for x, y in zip(v[piv + 1 :], tail)]
+            v[piv + 1 :] = K.sub_scaled(v[piv + 1 :], c, tail)
             multipliers.append((j, c))
         return v, multipliers
 
     def contains(self, entries) -> bool:
-        K = self.field
-        return all(K.is_zero(x) for x in self._reduce(entries)[0])
+        return not any(self._reduce(entries)[0])
 
     def try_add(self, entries) -> bool:
         """Add the vector if it enlarges the span; report whether it did."""
         K = self.field
         v, multipliers = self._reduce(entries)
-        pivot = next((i for i, x in enumerate(v) if not K.is_zero(x)), None)
+        pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             self.relation = multipliers
             return False
         s = K.inv(v[pivot])
-        self.rows.append((pivot, [K.mul(s, x) for x in v[pivot + 1 :]]))
+        self.rows.append((pivot, K.scale(s, v[pivot + 1 :])))
         self.steps.append((s, multipliers))
         return True
 
@@ -463,7 +439,7 @@ class SpanTracker:
         for j, c in self.relation:
             y[j] = c
         for k in range(len(y) - 1, -1, -1):
-            if K.is_zero(y[k]):
+            if not y[k]:
                 continue
             s, multipliers = self.steps[k]
             y[k] = K.mul(y[k], s)
@@ -554,7 +530,7 @@ def eval_poly(p: Poly, a: Mat) -> Mat:
         if not first:
             result = result * a
         first = False
-        if not K.is_zero(c):
+        if c:
             result = Mat(
                 K,
                 [
@@ -582,7 +558,7 @@ def eval_poly_vec(p: Poly, a: Mat, v: Vec) -> Vec:
         if not first:
             w = a * w
         first = False
-        if not K.is_zero(c):
+        if c:
             w = Vec(K, [K.add(x, K.mul(c, y)) for x, y in zip(w.entries, v.entries)])
     return w
 

@@ -126,11 +126,11 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
         e = Vec.basis(K, n, i)
         if known.contains(e.entries):
             continue
-        chain = [e]
-        for _ in range(acc.mu.degree):
+        chain = [e, a.col(i)]  # a * e_i is column i of a
+        for _ in range(acc.mu.degree - 1):
             chain.append(a * chain[-1])
-        image = [K.dot(row, acc.mu.coeffs) for row in zip(*(w.entries for w in chain))]
-        if all(K.is_zero(x) for x in image):
+        image = K.matvec(list(zip(*(w.entries for w in chain))), acc.mu.coeffs)
+        if not any(image):
             for w in chain:
                 if not known.try_add(w.entries):
                     break

@@ -21,7 +21,7 @@ class Poly:
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = cs
@@ -68,7 +68,7 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.field.eq(self.coeffs[-1], self.field.one)
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is one."""
@@ -78,7 +78,7 @@ class Poly:
             return self
         K = self.field
         s = K.inv(self.coeffs[-1])
-        return Poly(K, [K.mul(s, c) for c in self.coeffs])
+        return Poly(K, K.scale(s, self.coeffs))
 
     def _require_same_field(self, other: "Poly") -> None:
         if self.field != other.field:
@@ -130,7 +130,7 @@ class Poly:
             return Poly.zero(K)
         out = [K.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if K.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = K.add(out[i + j], K.mul(a, b))
@@ -152,12 +152,11 @@ class Poly:
         quot = [K.zero] * (len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
-            if K.is_zero(c):
+            if not c:
                 continue
             q = K.mul(c, lead_inv)
             quot[i - d] = q
-            for j in range(d + 1):
-                rem[i - d + j] = K.sub(rem[i - d + j], K.mul(q, other.coeffs[j]))
+            rem[i - d : i + 1] = K.sub_scaled(rem[i - d : i + 1], q, other.coeffs)
         return Poly(K, quot), Poly(K, rem)
 
     def __floordiv__(self, other):
@@ -181,7 +180,7 @@ class Poly:
         parts: list[str] = []
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
-            if K.is_zero(c):
+            if not c:
                 continue
             s = K.format(c)
             negative = s.startswith("-")

@@ -56,17 +56,6 @@ def test_rref_examples():
     assert got.matrix == Mat.from_ints(K, [[1, 2], [0, 0]])
 
 
-def test_rref_small_pivot_toggle_gives_same_unique_form():
-    K = Rationals()
-    rng = random.Random(19)
-    for _ in range(30):
-        a = rand_matrix(K, rng, rng.randint(1, 5), rng.randint(1, 5), lo=-9, hi=9)
-        plain = rref(a)
-        toggled = rref(a, prefer_small_pivots=True)
-        assert toggled.matrix == plain.matrix
-        assert toggled.pivots == plain.pivots
-
-
 def test_rref_idempotent_and_rank_transpose():
     K = PrimeField(7)
     rng = random.Random(17)
