@@ -255,6 +255,8 @@ def rnf(a: Mat) -> RnfResult:
     for j in range(len(factors) - 2, -1, -1):
         o, h = offsets[j], factors[j].degree
         lead = [upper[o + k][o + h :] for k in range(h)]
+        if not any(map(any, lead)):
+            continue  # X is zero: nothing to clear, T is unchanged
         try:
             x = _clear_couplings(factors[j], lead, factors[j + 1 :])
         except InternalInvariantError as exc:

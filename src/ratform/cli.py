@@ -166,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-verify the conjugation identity before printing",
     )
-    common.add_argument(
-        "--seed", type=int, help="reserved; the pipeline is deterministic"
-    )
 
     parser = argparse.ArgumentParser(
         prog="ratform",

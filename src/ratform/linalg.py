@@ -1,9 +1,12 @@
-"""Dense exact matrices and vectors with Gaussian elimination.
+"""Dense exact matrices and vectors with one Gaussian elimination.
 
 Vectors are columns: ``A * v`` applies A on the left, so ``A * e_j``
 reads off column j.  All operations return new objects; elimination
 routines mutate only private working copies, so values are safe to
 share across threads.
+
+`SpanTracker` is the only forward elimination; `rref`, and through it
+`inverse`, `solve` and `kernel_basis`, adds a back pass to its rows.
 """
 
 from __future__ import annotations
@@ -259,30 +262,26 @@ class Rref(NamedTuple):
 def rref(a: Mat) -> Rref:
     """Reduced row echelon form with pivot column indices.
 
-    Pivoting picks the first non-zero entry in column order; arithmetic
-    is exact, so no magnitude-based pivoting is needed and the result is
-    deterministic.
+    A `SpanTracker` fed the rows of `a` keeps the independent ones with
+    unit pivots, each cleared at the pivots kept before it.  Sorted by
+    pivot, they need only a back pass: from the last pivot up, clear
+    each pivot column from the rows above it.
     """
     K = a.field
-    m = [list(row) for row in a.data]
-    nrows, ncols = a.nrows, a.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        m[r] = K.scale(K.inv(m[r][c]), m[r])
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                m[i] = K.sub_scaled(m[i], m[i][c], m[r])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Rref(Mat(K, m), pivots, len(pivots))
+    tracker = SpanTracker(K, a.ncols)
+    for row in a.data:
+        tracker.try_add(row)
+    rows = sorted(tracker.rows, key=lambda r: r[0])
+    for k in range(len(rows) - 1, 0, -1):
+        q, below = rows[k]
+        for p, tail in rows[:k]:
+            c = tail[q - p - 1]
+            if c:
+                tail[q - p - 1] = K.zero
+                tail[q - p :] = K.sub_scaled(tail[q - p :], c, below)
+    m = [[K.zero] * p + [K.one] + tail for p, tail in rows]
+    m += [[K.zero] * a.ncols for _ in range(a.nrows - len(rows))]
+    return Rref(Mat(K, m), [p for p, _ in rows], len(rows))
 
 
 def pivot_columns(a: Mat) -> list[int]:
@@ -308,7 +307,7 @@ def rank(a: Mat) -> int:
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan on [A | I]."""
+    """Exact inverse, read off the reduced form of [A | I]."""
     _require_square(a)
     K = a.field
     n = a.nrows

@@ -128,9 +128,11 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 4" in err and "bad.mat" in err
 
 
-def test_seed_flag_is_accepted(capsys, diag12):
-    assert main(["factors", "--seed", "42", diag12]) == 0
-    capsys.readouterr()
+def test_seed_flag_is_rejected(capsys, diag12):
+    with pytest.raises(SystemExit) as exc:
+        main(["factors", "--seed", "42", diag12])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_console_entry_point_subprocess(tmp_path):

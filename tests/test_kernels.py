@@ -5,7 +5,9 @@ what the per-scalar composition returns and add exactly as much to
 `op_count`, so op totals read by criterion 8 and the benchmark keep
 their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
-copies of themselves, op counts included.
+copies of themselves, op counts included.  `rref` and what reads it
+(`solve`, `inverse`, `kernel_basis`) must also equal a scalar
+Gauss-Jordan elimination in value.
 """
 
 import random
@@ -13,7 +15,22 @@ from fractions import Fraction
 
 import pytest
 
-from ratform import Mat, PrimeField, Rationals, Vec, rref
+from conftest import rand_invertible, rand_monic
+from ratform import (
+    Mat,
+    PrimeField,
+    Rationals,
+    Vec,
+    block_diag,
+    canonical,
+    companion,
+    inverse,
+    kernel_basis,
+    rnf,
+    rref,
+    solve,
+)
+from ratform.errors import SingularMatrixError
 from ratform.linalg import SpanTracker, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
@@ -119,7 +136,7 @@ def test_mat_products_match_scalar_composition(K):
 
 
 def rref_ref(K, a):
-    """The scalar Gauss-Jordan elimination the kernels replaced."""
+    """Scalar Gauss-Jordan elimination: the value oracle for `rref`."""
     m = [list(r) for r in a.data]
     pivots = []
     r = 0
@@ -173,6 +190,25 @@ class ScalarTracker(SpanTracker):
         return True
 
 
+def rref_scalar(K, a):
+    """`rref`'s algorithm in scalar calls: ScalarTracker rows, then a scalar back pass."""
+    tracker = ScalarTracker(K, a.ncols)
+    for r in a.data:
+        tracker.try_add(r)
+    rows = sorted(tracker.rows, key=lambda r: r[0])
+    for k in range(len(rows) - 1, 0, -1):
+        q, below = rows[k]
+        for p, tail in rows[:k]:
+            c = tail[q - p - 1]
+            if c == K.zero:
+                continue
+            tail[q - p - 1] = K.zero
+            tail[q - p :] = [K.sub(x, K.mul(c, y)) for x, y in zip(tail[q - p :], below)]
+    m = [[K.zero] * p + [K.one] + tail for p, tail in rows]
+    m += [[K.zero] * a.ncols for _ in range(a.nrows - len(rows))]
+    return m, [p for p, _ in rows]
+
+
 def deficient_matrix(K, rng):
     """A rectangular matrix of rank below min(rows, cols), some columns zero."""
     nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
@@ -192,9 +228,9 @@ def test_eliminations_unchanged_on_rank_deficient_rectangular_inputs(K):
     for _ in range(40):
         a = deficient_matrix(K, rng)
         reduced, ops = counted(K, rref, a)
-        (m, pivots), expected_ops = counted(K, rref_ref, K, a)
+        m, pivots = rref_ref(K, a)
         assert reduced.matrix.data == m and reduced.pivots == pivots
-        assert ops == expected_ops
+        assert ((m, pivots), ops) == counted(K, rref_scalar, K, a)
         assert reduced.rank < min(a.nrows, a.ncols)
 
         got, ops = counted(K, pivot_columns, a)
@@ -212,3 +248,90 @@ def test_eliminations_unchanged_on_rank_deficient_rectangular_inputs(K):
             assert counted(K, fast.contains, col) == counted(K, slow.contains, col)
             if fast.relation is not None:
                 assert counted(K, fast.dependence) == counted(K, slow.dependence)
+
+
+def gj_inverse(K, a):
+    n = a.nrows
+    eye = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+    m, pivots = rref_ref(K, Mat(K, [r + e for r, e in zip(a.data, eye)]))
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in m]
+
+
+def gj_solve(K, a, b):
+    m, pivots = rref_ref(K, Mat(K, [r + [x] for r, x in zip(a.data, b)]))
+    if pivots and pivots[-1] == a.ncols:
+        return None
+    x = [K.zero] * a.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][a.ncols]
+    return x
+
+
+def gj_kernel(K, a):
+    m, pivots = rref_ref(K, a)
+    basis = []
+    for c in (c for c in range(a.ncols) if c not in pivots):
+        v = [K.zero] * a.ncols
+        v[c] = K.one
+        for r, pc in enumerate(pivots):
+            v[pc] = K.neg(m[r][c])
+        basis.append(v)
+    return basis
+
+
+def differential_inputs(K, rng):
+    """Square, wide, tall, zero and rank-deficient matrices, seeded."""
+    out = [Mat(K, []), Mat(K, [[K.zero] * 3] * 2), Mat(K, [[K.zero] * 4] * 4)]
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, 4)
+        out.append(Mat(K, [row(K, rng, n) for _ in range(n)]))
+        out.append(Mat(K, [row(K, rng, n + k) for _ in range(n)]))
+        out.append(Mat(K, [row(K, rng, n) for _ in range(n + k)]))
+        out.append(deficient_matrix(K, rng))
+    return out
+
+
+def quotient_systems(K, rng, monkeypatch):
+    """The d x (d + k) systems `_split_quotient` hands to `rref` on derogatory inputs."""
+    systems = []
+
+    def recording(a):
+        systems.append(a)
+        return rref(a)
+
+    monkeypatch.setattr(canonical, "rref", recording)
+    for _ in range(4):
+        q, r = rand_monic(K, rng, rng.randint(1, 2)), rand_monic(K, rng, rng.randint(1, 2))
+        form = block_diag([companion(q * r), companion(q), companion(q)])
+        s = rand_invertible(K, rng, form.nrows)
+        rnf(inverse(s) * form * s)
+    monkeypatch.undo()
+    return systems
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=IDS)
+def test_rref_and_its_readers_equal_gauss_jordan(K, monkeypatch):
+    rng = random.Random(405)
+    systems = quotient_systems(K, rng, monkeypatch)
+    assert len(systems) >= 8
+    for a in systems:
+        d = a.nrows
+        assert a.ncols > d and gj_inverse(K, a.block(0, 0, d, d)) is not None
+    for a in differential_inputs(K, rng) + systems:
+        m, pivots = rref_ref(K, a)
+        reduced = rref(a)
+        assert (reduced.matrix.data, reduced.pivots, reduced.rank) == (m, pivots, len(pivots))
+        assert [v.entries for v in kernel_basis(a)] == gj_kernel(K, a)
+        for b in (row(K, rng, a.nrows), (a * Vec(K, row(K, rng, a.ncols))).entries):
+            x = solve(a, Vec(K, b))
+            assert (x if x is None else x.entries) == gj_solve(K, a, b)
+        if a.is_square:
+            expected = gj_inverse(K, a)
+            if expected is None:
+                with pytest.raises(SingularMatrixError):
+                    inverse(a)
+            else:
+                assert inverse(a).data == expected
