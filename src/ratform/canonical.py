@@ -18,18 +18,13 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    SpanTracker,
     Vec,
     block_diag,
     companion,
-    column_space_basis,
     completion_indices,
     inverse,
-    kernel_basis,
     pivot_columns,
-    rank,
     rref,
-    solve,
 )
 from .minpoly import min_poly_vector
 from .poly import Poly
@@ -316,76 +311,25 @@ def is_similar(a: Mat, b: Mat, *, witness: bool = False):
     return True, s
 
 
-def _intersect_spans(u: list[Vec], w: list[Vec], K, n: int) -> list[Vec]:
-    """Basis of span(u) n span(w) for independent input families.
-
-    Each kernel relation of the stacked columns [u | w] pins one
-    intersection vector through its u-part; independence of u and of w
-    separately makes those vectors a basis.
-    """
-    if not u or not w:
-        return []
-    combined = Mat.from_cols(K, list(u) + list(w), n)
-    out = []
-    for rel in kernel_basis(combined):
-        v = [K.zero] * n
-        for j, c in enumerate(rel.entries[: len(u)]):
-            if not c:
-                continue
-            for i in range(n):
-                v[i] = K.add(v[i], K.mul(c, u[j].entries[i]))
-        out.append(Vec(K, v))
-    return out
-
-
 def nilpotent_jnf(a: Mat) -> JnfResult:
-    """Jordan normal form of a nilpotent matrix via the kernel staircase.
+    """Jordan normal form of a nilpotent matrix, read off its rational normal form.
 
-    Let r be the largest exponent with A^r != 0.  Inside ker A the chain
-    ker A n im A^r c ... c ker A n im A c ker A is saturated level by
-    level; each new kernel vector found at level i is pulled back
-    through A^i and its chain y, Ay, ..., A^i y contributes one Jordan
-    block of size i+1.  Longer chains come first, so the partition is
-    descending.
+    A is nilpotent exactly when its minimal polynomial is a monomial
+    X^s.  Then every invariant factor is a monomial X^s_i, and
+    companion(X^s_i) is the nilpotent Jordan block of size s_i, so the
+    factor degrees are the partition (descending, since each factor
+    divides the one before) and rnf's certified transform conjugates A
+    onto the Jordan matrix.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
-    n = a.nrows
-    if n == 0:
+    if a.nrows == 0:
         raise ValueError("empty matrix has no Jordan form")
-    K = a.field
-    powers = [Mat.identity(K, n)]
-    while not powers[-1].is_zero and len(powers) <= n:
-        powers.append(powers[-1] * a)
-    if not powers[-1].is_zero:
+    result = rnf(a)
+    if any(result.factors[0].coeffs[:-1]):
         raise NotNilpotentError("matrix is not nilpotent")
-    index = len(powers) - 1  # smallest exponent with A^index = 0
-    kernel = kernel_basis(a)
-    levels: list[tuple[int, list[Vec]]] = []
-    for i in range(index - 1, 0, -1):
-        levels.append((i, _intersect_spans(kernel, column_space_basis(powers[i]), K, n)))
-    levels.append((0, kernel))
-    tracker = SpanTracker(K, n)
-    chains: list[tuple[int, Vec]] = []
-    for depth, basis in levels:
-        for v in basis:
-            if tracker.try_add(v.entries):
-                chains.append((depth, v))
-    partition: list[int] = []
-    cols: list[Vec] = []
-    for depth, bottom in chains:
-        top = bottom if depth == 0 else solve(powers[depth], bottom)
-        if top is None:
-            raise InternalInvariantError("kernel vector has no preimage")
-        partition.append(depth + 1)
-        w = top
-        for _ in range(depth + 1):
-            cols.append(w)
-            w = a * w
-    if sum(partition) != n:
-        raise InternalInvariantError("chain lengths do not fill the space")
-    transform = Mat.from_cols(K, cols, n)
-    jordan = block_diag([companion(Poly.monomial(K, s)) for s in partition])
-    if a * transform != transform * jordan or rank(transform) != n:
-        raise InternalInvariantError("staircase basis does not conjugate onto the form")
-    return JnfResult(partition=partition, jnf=jordan, transform=transform)
+    return JnfResult(
+        partition=[f.degree for f in result.factors],
+        jnf=result.rnf,
+        transform=result.transform,
+    )

@@ -22,7 +22,7 @@ import sys
 from .canonical import char_poly, is_similar, nilpotent_jnf, rnf
 from .errors import RatformError
 from .field import Field, PrimeField, Rationals
-from .linalg import Mat, inverse
+from .linalg import Mat, rank
 from .matio import format_matrix, parse_matrix
 from .minpoly import min_poly
 from .poly import Poly
@@ -63,7 +63,7 @@ def _emit_json(doc: dict) -> None:
 
 
 def _verify_conjugation(a: Mat, transform: Mat, form: Mat) -> None:
-    if inverse(transform) * a * transform != form:
+    if a * transform != transform * form or rank(transform) != a.nrows:
         raise RatformError("check failed: transform does not conjugate onto the form")
 
 

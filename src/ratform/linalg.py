@@ -28,7 +28,6 @@ __all__ = [
     "inverse",
     "kernel_basis",
     "solve",
-    "column_space_basis",
     "completion_indices",
     "complete_to_basis",
     "companion",
@@ -358,11 +357,6 @@ def solve(a: Mat, b: Vec):
     for r, pc in enumerate(pivots):
         x[pc] = reduced.data[r][a.ncols]
     return Vec(K, x)
-
-
-def column_space_basis(a: Mat) -> list[Vec]:
-    """The original columns at the pivot positions of the rref."""
-    return [a.col(j) for j in pivot_columns(a)]
 
 
 class SpanTracker:

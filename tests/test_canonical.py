@@ -231,6 +231,34 @@ def test_nilpotent_jnf_rejects_non_nilpotent():
     K = Rationals()
     with pytest.raises(NotNilpotentError):
         nilpotent_jnf(Mat.identity(K, 2))
+    # Inputs with a nilpotent part: the minimal polynomial has X as a
+    # factor but is not a monomial.
+    with pytest.raises(NotNilpotentError):
+        nilpotent_jnf(block_diag([companion(P(K, 0, 0, 1)), Mat.identity(K, 1)]))
+    F = PrimeField(7)
+    rng = random.Random(211)
+    strict = [[rand_scalar(F, rng) if j > i else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(NotNilpotentError):
+        nilpotent_jnf(Mat.identity(F, 4) + Mat(F, strict))
+    s = rand_invertible(F, rng, 4)
+    mixed = inverse(s) * block_diag([companion(P(F, 0, 0, -3, 1)), companion(P(F, 0, 1))]) * s
+    assert min_poly(mixed) == P(F, 0, 0, -3, 1)
+    with pytest.raises(NotNilpotentError):
+        nilpotent_jnf(mixed)
+
+
+def test_nilpotent_jnf_is_rnf_on_a_conjugated_nilpotent():
+    K = PrimeField(101)
+    a = rand_nilpotent(K, random.Random(223), 40)
+    K.reset_op_count()
+    got = nilpotent_jnf(a)
+    jnf_ops = K.op_count
+    K.reset_op_count()
+    expected = rnf(a)
+    assert K.op_count == jnf_ops
+    assert got.partition == [f.degree for f in expected.factors]
+    assert got.jnf == expected.rnf
+    assert got.transform == expected.transform
 
 
 def _rank_partition(a):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ratform import Mat, Rationals, parse_matrix
+from ratform import Mat, Rationals, RnfResult, cli, parse_matrix
 from ratform.cli import main
 
 
@@ -83,11 +83,31 @@ def test_jnf_nilpotent_output_and_error(tmp_path, capsys):
     assert main(["jnf-nilpotent", "--check", "--show-transform", nil]) == 0
     out = capsys.readouterr().out
     assert "partition: [2, 1]" in out
+    assert main(["rnf", "--show-transform", nil]) == 0
+    rnf_out = capsys.readouterr().out
+    assert out.split("transform:\n")[1] == rnf_out.split("transform:\n")[1]
 
     ident = write(tmp_path, "id.mat", "field rational\n2\n1 0\n0 1\n")
     assert main(["jnf-nilpotent", ident]) == 2
     err = capsys.readouterr().err
     assert "not nilpotent" in err
+
+
+@pytest.mark.parametrize("bad", ["identity", "zero"])
+def test_check_rejects_a_transform_that_does_not_conjugate(monkeypatch, capsys, diag12, bad):
+    real = cli.rnf
+
+    def fake(a):
+        result = real(a)
+        n = a.nrows
+        # The identity is invertible but does not conjugate A onto R; the
+        # zero matrix satisfies A*T == T*R on its own but is singular.
+        t = Mat.identity(a.field, n) if bad == "identity" else Mat.zeros(a.field, n, n)
+        return RnfResult(factors=result.factors, rnf=result.rnf, transform=t)
+
+    monkeypatch.setattr(cli, "rnf", fake)
+    assert main(["rnf", "--check", diag12]) == 2
+    assert "check failed" in capsys.readouterr().err
 
 
 def test_minpoly_charpoly_factors(tmp_path, capsys):
