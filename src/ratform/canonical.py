@@ -24,7 +24,6 @@ from .linalg import (
     completion_indices,
     inverse,
     pivot_columns,
-    rref,
 )
 from .minpoly import min_poly_vector
 from .poly import Poly
@@ -54,10 +53,6 @@ class RnfResult:
     rnf: Mat
     transform: Mat
 
-    @property
-    def block_count(self) -> int:
-        return len(self.factors)
-
 
 @dataclass
 class JnfResult:
@@ -85,30 +80,19 @@ def _split_quotient(sub: Mat, krylov: list[Vec]) -> tuple[list[int], list[list],
     and `keep` from `completion_indices`, the first d columns of
     C^-1 * sub * C are companion(mu) over zeros by construction, and
     sub * e_s is column s of sub, so only the completion columns
-    C^-1 * y are computed.  With R the rows outside `keep`, the Krylov
-    coordinates x of C^-1 * y solve V[R, :] x = y[R] and its other
-    coordinates are y[keep] - V[keep, :] x.
+    C^-1 * y are computed.  The tracker that reduced V by its last
+    entries gives both parts of each: the Krylov coordinates, and in
+    its residual the coordinates on the e_s.
 
     Returns `keep`, the d rows of couplings of the new block to the
     completion, and the quotient matrix left to split.
     """
-    K = sub.field
     m = sub.nrows
-    d = len(krylov)
-    keep = completion_indices(K, krylov, m)
-    kept = set(keep)
-    rows = [[v.entries[r] for v in krylov] for r in range(m)]
-    system = [rows[r] + [sub.data[r][s] for s in keep] for r in range(m) if r not in kept]
-    reduced, pivots, _ = rref(Mat(K, system))
-    if pivots != list(range(d)):
-        raise InternalInvariantError("Krylov rows outside the completion are singular")
-    coupling = [row[d:] for row in reduced.data]
-    cols = list(zip(*coupling))
-    rest = [
-        [K.sub(sub.data[r][s], y) for s, y in zip(keep, K.matvec(cols, rows[r]))]
-        for r in keep
-    ]
-    return keep, coupling, Mat(K, rest)
+    tracker, keep = completion_indices(sub.field, krylov, m)
+    parts = [tracker.coordinates(sub.col(s).entries[::-1]) for s in keep]
+    coupling = [list(row) for row in zip(*(x for x, _ in parts))]
+    rest = [[r[m - 1 - t] for _, r in parts] for t in keep]
+    return keep, coupling, Mat(sub.field, rest)
 
 
 def _clear_couplings(head: Poly, lead: list[list], chain: list[Poly]) -> list[list]:

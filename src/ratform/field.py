@@ -59,7 +59,7 @@ class Field:
 
     Instances are immutable apart from `op_count`, a running tally of the
     arithmetic operations executed through the context.  Scalar methods
-    (add, sub, mul, div, neg, inv) count one each; the row-level methods
+    (add, sub, mul, neg, inv) count one each; the row-level methods
     (dot, matvec, sub_scaled, scale) count in one step exactly what the
     equivalent scalar calls would.  Two contexts compare equal iff they
     describe the same field, so values may flow between structures built
@@ -100,9 +100,6 @@ class Field:
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
         raise NotImplementedError
 
     def neg(self, a):
@@ -164,12 +161,6 @@ class Rationals(Field):
     def mul(self, a, b):
         self.op_count += 1
         return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        self.op_count += 1
-        return a / b
 
     def neg(self, a):
         self.op_count += 1
@@ -248,12 +239,6 @@ class PrimeField(Field):
     def mul(self, a, b):
         self.op_count += 1
         return (a * b) % self.p
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        self.op_count += 1
-        return (a * pow(b, -1, self.p)) % self.p
 
     def neg(self, a):
         self.op_count += 1

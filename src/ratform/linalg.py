@@ -7,6 +7,8 @@ share across threads.
 
 `SpanTracker` is the only forward elimination; `rref`, and through it
 `inverse`, `solve` and `kernel_basis`, adds a back pass to its rows.
+`completion_indices` feeds it reversed vectors, so its pivots give a
+basis completion and it gives coordinates in that basis.
 """
 
 from __future__ import annotations
@@ -368,8 +370,8 @@ class SpanTracker:
     Testing a vector is one forward pass costing O(dim * rank) field
     operations.  Each row also records its pivot scale and the
     multipliers (j, c) it was reduced by, which is enough to write a
-    vector that adds nothing over the vectors that were added
-    (`dependence`).
+    vector, or its part in the span, over the vectors that were added
+    (`dependence`, `coordinates`).
     """
 
     __slots__ = ("field", "dim", "rows", "steps", "relation")
@@ -415,57 +417,69 @@ class SpanTracker:
         self.steps.append((s, multipliers))
         return True
 
+    def coordinates(self, entries) -> tuple[list, list]:
+        """(y, r) with the vector equal to sum(y[k] * u_k) + r, r zero at every pivot.
+
+        u_k is the k-th vector added; y comes from the same
+        back-substitution as `dependence`.
+        """
+        v, multipliers = self._reduce(entries)
+        return self._back_substitute(multipliers), v
+
     def dependence(self) -> list:
         """Coordinates of the last vector `try_add` rejected over the added ones.
 
-        The vector is the sum of c * row_j over its multipliers, and row k
-        is s_k * (u_k - sum of c * row_j over its own), with u_k the k-th
-        vector added; back-substitution from the last row down turns row
-        coefficients into coefficients of the u_k in O(rank^2) field
-        operations.  Rows are never changed, so the answer stays valid
-        as later vectors are added (its trailing coordinates are zero).
+        Rows are never changed, so the answer stays valid as later
+        vectors are added (its trailing coordinates are zero).
         """
         if self.relation is None:
             raise ValueError("no vector has been rejected")
+        return self._back_substitute(self.relation)
+
+    def _back_substitute(self, multipliers) -> list:
+        """Coefficients over the u_k of the sum of c * row_j over the multipliers.
+
+        Row k is s_k * (u_k - sum of c * row_j over its own multipliers),
+        so going from the last row down costs O(rank^2) field operations.
+        """
         K = self.field
         y = [K.zero] * len(self.rows)
-        for j, c in self.relation:
+        for j, c in multipliers:
             y[j] = c
         for k in range(len(y) - 1, -1, -1):
             if not y[k]:
                 continue
-            s, multipliers = self.steps[k]
+            s, own = self.steps[k]
             y[k] = K.mul(y[k], s)
-            for j, c in multipliers:
+            for j, c in own:
                 y[j] = K.sub(y[j], K.mul(y[k], c))
         return y
 
 
-def completion_indices(field: Field, vectors: list[Vec], n: int) -> list[int]:
-    """Ascending indices i of the e_i that extend independent columns to a basis.
+def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTracker, list[int]]:
+    """The inputs reduced by their last entries, and the e_i completing them to a basis.
 
-    The inputs are taken first, in order; then e_1, e_2, ... are scanned
-    in index order and kept whenever one enlarges the span, which makes
-    the completion deterministic.
+    e_i lies in the span of the inputs and e_0..e_(i-1) exactly when a
+    vector of the inputs' span ends at entry i.  A `SpanTracker` fed the
+    reversed inputs has its pivots at those entries, so every other
+    index, ascending, is the lexicographically first completion.  The
+    tracker, fed a reversed vector, gives its coordinates over the
+    inputs and, in its residual, over the e_i (`SpanTracker.coordinates`).
     """
     tracker = SpanTracker(field, n)
     for v in vectors:
         if len(v.entries) != n:
             raise DimensionError("vector of wrong length")
-        if not tracker.try_add(v.entries):
+        if not tracker.try_add(v.entries[::-1]):
             raise ValueError("input vectors are linearly dependent")
-    out: list[int] = []
-    for i in range(n):
-        if tracker.rank == n:
-            break
-        if tracker.try_add(Vec.basis(field, n, i).entries):
-            out.append(i)
-    return out
+    ends = {n - 1 - p for p, _ in tracker.rows}
+    return tracker, [i for i in range(n) if i not in ends]
 
 
 def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
     """The inputs followed by the e_i of `completion_indices`, as columns."""
-    extra = [Vec.basis(field, n, i) for i in completion_indices(field, vectors, n)]
+    _, keep = completion_indices(field, vectors, n)
+    extra = [Vec.basis(field, n, i) for i in keep]
     return Mat.from_cols(field, list(vectors) + extra, n)
 
 

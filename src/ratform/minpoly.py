@@ -142,7 +142,8 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
         acc = grown
         if acc.mu.degree == n:
             return acc
-        for v in acc.krylov + other.krylov:
+        # combine_lcm_vector may return `other` itself; its chain is added once
+        for v in acc.krylov if acc is other else acc.krylov + other.krylov:
             known.try_add(v.entries)
     return acc
 

@@ -366,9 +366,15 @@ def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
     assert rnf(two).factors == [P(K, -2, 1)] * n
     # 40 blocks; a full conjugation per block took 34,403,426, a
     # matrix-vector product for the first step of each escape candidate
-    # took 1,711,849, and coupling updates for blocks with no couplings
-    # took 432,649
-    assert K.op_count <= 347_291
+    # took 1,711,849, coupling updates for blocks with no couplings took
+    # 432,649, and an index scan plus an rref per split took 347,291
+    assert K.op_count <= 292_392
+    # one Jordan block, far from cyclic on e_1: adding the chain of an
+    # absorbed candidate to the known span twice took 6,957,257
+    ones = Mat(K, [[1 if j > i else 0 for j in range(n)] for i in range(n)])
+    K.reset_op_count()
+    assert rnf(ones).factors == [Poly.monomial(K, n)]
+    assert K.op_count <= 6_367_915
     # criterion 8's matrices and a generic n=48, at the counts of one
     # forward elimination per Krylov chain and a forward-only rank for
     # the certificate; re-solving the chain and a full rref of T took
@@ -407,6 +413,31 @@ def test_cyclic_rnf_needs_neither_solve_nor_rref(monkeypatch):
     got = rnf(a)
     assert got.factors == expected.factors
     assert got.transform == expected.transform
+
+
+def test_derogatory_rnf_needs_neither_solve_nor_rref(monkeypatch):
+    """Each block splits off through the tracker that reduced its Krylov chain."""
+    inputs = []
+    for K, seed in ((PrimeField(101), 97), (Rationals(), 98)):
+        two = [[K.from_int(2) if i == j else K.zero for j in range(9)] for i in range(9)]
+        inputs += [Mat(K, two), _scrambled_chain(K, random.Random(seed), 12, 4)[1]]
+    expected = [rnf(a) for a in inputs]
+    assert all(len(e.factors) > 1 for e in expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called while splitting a block")
+
+    for name in ("solve", "rref"):
+        original = getattr(linalg, name)
+        for key, module in list(sys.modules.items()):
+            if key == "ratform" or key.startswith("ratform."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+    for a, e in zip(inputs, expected):
+        got = rnf(a)
+        assert got.factors == e.factors
+        assert got.transform == e.transform
 
 
 def _first_escape(a):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +74,8 @@ def test_similar_witness(tmp_path, capsys, diag12):
     out = capsys.readouterr().out
     assert "witness:\n" in out
     witness = parse_matrix(out.split("witness:\n")[1])
-    a = parse_matrix(open(diag12).read())
-    b = parse_matrix(open(same).read())
+    a = parse_matrix(Path(diag12).read_text())
+    b = parse_matrix(Path(same).read_text())
     assert a * witness == witness * b
 
 

@@ -7,7 +7,9 @@ their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
 copies of themselves, op counts included.  `rref` and what reads it
 (`solve`, `inverse`, `kernel_basis`) must also equal a scalar
-Gauss-Jordan elimination in value.
+Gauss-Jordan elimination in value.  The basis completion read off the
+reversed Krylov chain, and the quotient split built on it, must equal
+the scan over e_0, e_1, ... and the Gauss-Jordan solve they replace.
 """
 
 import random
@@ -24,14 +26,16 @@ from ratform import (
     block_diag,
     canonical,
     companion,
+    complete_to_basis,
     inverse,
     kernel_basis,
+    local_min_poly,
     rnf,
     rref,
     solve,
 )
 from ratform.errors import SingularMatrixError
-from ratform.linalg import SpanTracker, pivot_columns
+from ratform.linalg import SpanTracker, completion_indices, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
 IDS = ["GF7", "GF1e9+7", "Q"]
@@ -294,28 +298,25 @@ def differential_inputs(K, rng):
     return out
 
 
-def quotient_systems(K, rng, monkeypatch):
-    """The d x (d + k) systems `_split_quotient` hands to `rref` on derogatory inputs."""
+def quotient_systems(K, rng):
+    """d x (d + k) systems with an invertible leading d x d block.
+
+    They have the shape of the systems the quotient split once solved by
+    `rref`: the Krylov chain's rows outside the completion, then the
+    completion's columns of the quotient matrix.
+    """
     systems = []
-
-    def recording(a):
-        systems.append(a)
-        return rref(a)
-
-    monkeypatch.setattr(canonical, "rref", recording)
-    for _ in range(4):
-        q, r = rand_monic(K, rng, rng.randint(1, 2)), rand_monic(K, rng, rng.randint(1, 2))
-        form = block_diag([companion(q * r), companion(q), companion(q)])
-        s = rand_invertible(K, rng, form.nrows)
-        rnf(inverse(s) * form * s)
-    monkeypatch.undo()
+    for _ in range(10):
+        d, k = rng.randint(1, 5), rng.randint(1, 4)
+        lead = rand_invertible(K, rng, d)
+        systems.append(Mat(K, [r + row(K, rng, k) for r in lead.data]))
     return systems
 
 
 @pytest.mark.parametrize("K", FIELDS, ids=IDS)
-def test_rref_and_its_readers_equal_gauss_jordan(K, monkeypatch):
+def test_rref_and_its_readers_equal_gauss_jordan(K):
     rng = random.Random(405)
-    systems = quotient_systems(K, rng, monkeypatch)
+    systems = quotient_systems(K, rng)
     assert len(systems) >= 8
     for a in systems:
         d = a.nrows
@@ -335,3 +336,117 @@ def test_rref_and_its_readers_equal_gauss_jordan(K, monkeypatch):
                     inverse(a)
             else:
                 assert inverse(a).data == expected
+
+
+def completion_scan(K, vectors, n):
+    """The completion by scanning e_0, e_1, ... after the inputs, in scalar calls."""
+    tracker = ScalarTracker(K, n)
+    for v in vectors:
+        assert tracker.try_add(v.entries)
+    return [i for i in range(n) if tracker.try_add(Vec.basis(K, n, i).entries)]
+
+
+def independent(K, n, candidates):
+    tracker = SpanTracker(K, n)
+    return [v for v in candidates if tracker.try_add(v.entries)]
+
+
+def completion_families(K, rng):
+    """(vectors, n): empty, full-rank, unit vectors, Krylov chains, shared last entries."""
+    out = [([], 0), ([], 1), ([], rng.randint(2, 7))]
+    for _ in range(6):
+        n = rng.randint(1, 8)
+        out.append(([Vec(K, c) for c in zip(*rand_invertible(K, rng, n).data)], n))
+        units = rng.sample(range(n), rng.randint(1, n))
+        out.append(([Vec.basis(K, n, i) for i in units], n))
+        q = rand_monic(K, rng, rng.randint(1, 3))
+        form = block_diag([companion(q * rand_monic(K, rng, 1)), companion(q), companion(q)])
+        s = rand_invertible(K, rng, form.nrows)
+        a = inverse(s) * form * s
+        start = Vec(K, row(K, rng, a.nrows))
+        if any(start.entries):
+            out.append((local_min_poly(a, start).krylov, a.nrows))
+        last = rng.randrange(n)
+        ending = []
+        for _ in range(rng.randint(1, last + 1)):
+            v = row(K, rng, last) + [K.from_int(rng.randint(1, 5))] + [K.zero] * (n - 1 - last)
+            ending.append(Vec(K, v))
+        out.append((independent(K, n, ending), n))
+        out.append((independent(K, n, [Vec(K, row(K, rng, n)) for _ in range(n)]), n))
+    return out
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=IDS)
+def test_completion_by_last_entries_equals_the_index_scan(K):
+    rng = random.Random(406)
+    for vectors, n in completion_families(K, rng):
+        tracker, keep = completion_indices(K, vectors, n)
+        expected = completion_scan(K, vectors, n)
+        assert keep == expected
+        assert tracker.rank == len(vectors) == n - len(keep)
+        columns = vectors + [Vec.basis(K, n, i) for i in expected]
+        assert complete_to_basis(K, vectors, n) == Mat.from_cols(K, columns, n)
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=IDS)
+def test_coordinates_rebuild_the_vector(K):
+    rng = random.Random(407)
+    for vectors, n in completion_families(K, rng):
+        tracker, keep = completion_indices(K, vectors, n)
+        inside = [K.from_int(rng.randint(-3, 3)) for _ in vectors]
+        in_span = [dot_ref(K, [v.entries[i] for v in vectors], inside) for i in range(n)]
+        for y in (row(K, rng, n), in_span, *(Vec.basis(K, n, i).entries for i in range(n))):
+            x, r = tracker.coordinates(y[::-1])
+            r = r[::-1]
+            span_part = [dot_ref(K, [v.entries[i] for v in vectors], x) for i in range(n)]
+            assert [K.add(z, w) for z, w in zip(span_part, r)] == y
+            assert not any(r[i] for i in range(n) if i not in keep)
+            if y is in_span:
+                assert x == inside and not any(r)
+
+
+def split_quotient_ref(sub, krylov):
+    """The quotient split by the index scan and a Gauss-Jordan solve of the other rows."""
+    K = sub.field
+    m, d = sub.nrows, len(krylov)
+    keep = completion_scan(K, krylov, m)
+    rows = [[v.entries[r] for v in krylov] for r in range(m)]
+    system = [rows[r] + [sub.data[r][s] for s in keep] for r in range(m) if r not in keep]
+    reduced, pivots = rref_ref(K, Mat(K, system))
+    assert pivots == list(range(d))
+    coupling = [r[d:] for r in reduced]
+    coupling_cols = [list(c) for c in zip(*coupling)]
+    rest = [
+        [K.sub(sub.data[r][s], dot_ref(K, rows[r], c)) for s, c in zip(keep, coupling_cols)]
+        for r in keep
+    ]
+    return keep, coupling, Mat(K, rest)
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=IDS)
+def test_split_quotient_equals_the_scan_and_solve_it_replaces(K, monkeypatch):
+    rng = random.Random(408)
+    calls = []
+    split = canonical._split_quotient
+
+    def recording(sub, krylov):
+        calls.append((sub, krylov))
+        return split(sub, krylov)
+
+    monkeypatch.setattr(canonical, "_split_quotient", recording)
+    two = Mat(K, [[K.from_int(2) if i == j else K.zero for j in range(6)] for i in range(6)])
+    inputs = [two]
+    for _ in range(6):
+        q, r, t = (rand_monic(K, rng, rng.randint(1, 2)) for _ in range(3))
+        chain = [q * r * t, q * r, q, q][rng.randint(0, 1) :]
+        form = block_diag([companion(f) for f in chain])
+        inputs.append(form)  # unscrambled: the first Krylov chain is e_1, ..., e_d
+        s = rand_invertible(K, rng, form.nrows)
+        inputs.append(inverse(s) * form * s)
+    for a in inputs:
+        rnf(a)
+    monkeypatch.undo()
+    assert len(calls) >= 12
+    for sub, krylov in calls:
+        keep, coupling, rest = split(sub, krylov)
+        assert (keep, coupling, rest) == split_quotient_ref(sub, krylov)

@@ -181,7 +181,7 @@ def test_poly_text_form():
     K = Rationals()
     assert str(Poly.zero(K)) == "0"
     assert str(P(K, 2, -3, 1)) == "X^2 - 3*X + 2"
-    half = Poly(K, [K.div(K.one, K.from_int(2)), K.from_int(-2), K.zero, K.one])
+    half = Poly(K, [K.inv(K.from_int(2)), K.from_int(-2), K.zero, K.one])
     assert str(half) == "X^3 - 2*X + 1/2"
     assert str(P(K, 0, -1)) == "-X"
     G = PrimeField(7)
@@ -191,7 +191,7 @@ def test_poly_text_form():
 def test_monic_and_degree_sentinel():
     K = Rationals()
     p = P(K, 2, 4)
-    assert p.monic() == P(K, 1, 2).monic() == Poly(K, [K.div(K.one, K.from_int(2)), K.one])
+    assert p.monic() == P(K, 1, 2).monic() == Poly(K, [K.inv(K.from_int(2)), K.one])
     assert Poly.zero(K).degree == float("-inf")
     assert Poly.zero(K).degree < Poly.one(K).degree == 0
     with pytest.raises(ValueError):
