@@ -1,16 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: `ratform <verb> [flags] <matrix files>`.
 
-    ratform rnf [--check] [--show-transform] [--json] A.mat
-    ratform factors A.mat
-    ratform minpoly A.mat
-    ratform charpoly A.mat
-    ratform similar A.mat B.mat          (exit 0 similar, 1 not, 2 error)
-    ratform jnf-nilpotent N.mat
+The verbs (rnf, factors, minpoly, charpoly, similar, jnf-nilpotent) and
+the flags each one honours are declared once, in `_VERBS`; `ratform
+<verb> --help` lists them.  Every verb takes --field rational|gf:<p> and
+--json; a flag a verb does not declare exits 2.  `-` reads a matrix
+from stdin.  `similar` exits 0 when similar, 1 when not, 2 on error.
 
-`-` reads the matrix from stdin.  Text output prints polynomials in
-descending powers and matrices in the parseable text format; --json
-emits one JSON document with scalars as strings (rationals do not fit
-in JSON numbers) and polynomial coefficient arrays in ascending order.
+Each verb returns ordered (key, value) sections, and `_emit` prints
+them: as text, polynomials in descending powers and matrices in the
+parseable text format; with --json, one document {"field": ..., key:
+value, ...} with scalars as strings (rationals do not fit in JSON
+numbers) and polynomial coefficient arrays in ascending order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .canonical import char_poly, is_similar, nilpotent_jnf, rnf
 from .errors import RatformError
@@ -50,165 +51,130 @@ def _read_matrix(path: str, field: Field | None) -> Mat:
         raise RatformError(f"{path}: {exc}") from None
 
 
-def _poly_json(p: Poly) -> list[str]:
-    return [p.field.format(c) for c in p.coeffs]
-
-
-def _mat_json(a: Mat) -> list[list[str]]:
-    return [[a.field.format(x) for x in row] for row in a.data]
-
-
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc))
-
-
 def _verify_conjugation(a: Mat, transform: Mat, form: Mat) -> None:
     if a * transform != transform * form or rank(transform) != a.nrows:
         raise RatformError("check failed: transform does not conjugate onto the form")
 
 
-def _run_rnf(ns, field: Field | None, factors_only: bool) -> int:
-    a = _read_matrix(ns.matrix, field)
-    result = rnf(a)
-    if ns.check:
-        _verify_conjugation(a, result.transform, result.rnf)
-    if ns.json:
-        doc = {
-            "field": a.field.describe(),
-            "factors": [_poly_json(f) for f in result.factors],
-        }
-        if not factors_only:
-            doc["rnf"] = _mat_json(result.rnf)
-            if ns.show_transform:
-                doc["transform"] = _mat_json(result.transform)
-        _emit_json(doc)
-        return 0
-    print("factors: [" + ", ".join(str(f) for f in result.factors) + "]")
-    if not factors_only:
-        print("rnf:")
-        print(format_matrix(result.rnf), end="")
-        if ns.show_transform:
-            print("transform:")
-            print(format_matrix(result.transform), end="")
-    return 0
+def _conjugated(a: Mat, transform: Mat, sections: list, check: bool, show_transform: bool) -> list:
+    """`sections` end in the form that `transform` conjugates `a` onto."""
+    if check:
+        _verify_conjugation(a, transform, sections[-1][1])
+    return sections + [("transform", transform)] if show_transform else sections
 
 
-def _run_poly(ns, field: Field | None, which: str) -> int:
-    a = _read_matrix(ns.matrix, field)
-    p = min_poly(a) if which == "minpoly" else char_poly(a)
-    if ns.json:
-        _emit_json({"field": a.field.describe(), which: _poly_json(p)})
+def _rnf(a: Mat, check: bool, show_transform=False) -> list:
+    r = rnf(a)
+    sections = [("factors", r.factors), ("rnf", r.rnf)]
+    return _conjugated(a, r.transform, sections, check, show_transform)
+
+
+def _jnf(a: Mat, check: bool, show_transform: bool) -> list:
+    r = nilpotent_jnf(a)
+    sections = [("partition", r.partition), ("jnf", r.jnf)]
+    return _conjugated(a, r.transform, sections, check, show_transform)
+
+
+def _similar(a: Mat, b: Mat, show_transform: bool) -> list:
+    if not show_transform:
+        return [("similar", is_similar(a, b))]
+    same, witness = is_similar(a, b, witness=True)
+    return [("similar", same)] + ([("witness", witness)] if same else [])
+
+
+class _Verb(NamedTuple):
+    run: Callable[..., list]
+    help: str
+    flags: tuple[str, ...] = ()  # keyword arguments of run, beyond --field and --json
+    inputs: tuple[str, ...] = ("matrix",)  # positional arguments, one matrix each
+
+
+_FLAGS = {
+    "show_transform": "include the transformation (or similarity witness) in the output",
+    "check": "re-verify the conjugation identity before printing",
+}
+
+_VERBS = {
+    "rnf": _Verb(_rnf, "rational normal form with its transformation", ("show_transform", "check")),
+    "factors": _Verb(lambda a, check: _rnf(a, check)[:1], "invariant factors only", ("check",)),
+    "minpoly": _Verb(lambda a: [("minpoly", min_poly(a))], "minimal polynomial"),
+    "charpoly": _Verb(
+        lambda a: [("charpoly", char_poly(a))],
+        "characteristic polynomial (product of invariant factors)",
+    ),
+    "jnf-nilpotent": _Verb(_jnf, "Jordan form of a nilpotent matrix", ("show_transform", "check")),
+    "similar": _Verb(
+        _similar,
+        "decide similarity; exit 0 similar, 1 not similar, 2 error",
+        ("show_transform",),
+        ("first", "second"),
+    ),
+}
+
+
+def _json_value(value):
+    """Matrices and polynomials as arrays of scalar strings, lists element-wise."""
+    if isinstance(value, Mat):
+        return [[value.field.format(x) for x in row] for row in value.data]
+    if isinstance(value, Poly):
+        return [value.field.format(c) for c in value.coeffs]
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _text(key: str, value) -> str:
+    """A section as text: verdict `key` or `not key`, a matrix below `key:`, else `key: value`."""
+    if isinstance(value, bool):
+        return f"{key}\n" if value else f"not {key}\n"
+    if isinstance(value, Mat):
+        return f"{key}:\n{format_matrix(value)}"
+    if isinstance(value, list):
+        value = "[" + ", ".join(str(v) for v in value) + "]"
+    return f"{key}: {value}\n"
+
+
+def _emit(field: Field, sections: list, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps({"field": field.describe(), **{k: _json_value(v) for k, v in sections}}))
     else:
-        print(f"{which}: {p}")
-    return 0
-
-
-def _run_similar(ns, field: Field | None) -> int:
-    a = _read_matrix(ns.first, field)
-    b = _read_matrix(ns.second, field)
-    witness = None
-    if ns.show_transform:
-        same, witness = is_similar(a, b, witness=True)
-    else:
-        same = is_similar(a, b)
-    if ns.json:
-        doc = {"field": a.field.describe(), "similar": same}
-        if ns.show_transform and same:
-            doc["witness"] = _mat_json(witness)
-        _emit_json(doc)
-    else:
-        print("similar" if same else "not similar")
-        if ns.show_transform and same:
-            print("witness:")
-            print(format_matrix(witness), end="")
-    return 0 if same else 1
-
-
-def _run_jnf(ns, field: Field | None) -> int:
-    a = _read_matrix(ns.matrix, field)
-    result = nilpotent_jnf(a)
-    if ns.check:
-        _verify_conjugation(a, result.transform, result.jnf)
-    if ns.json:
-        doc = {
-            "field": a.field.describe(),
-            "partition": result.partition,
-            "jnf": _mat_json(result.jnf),
-        }
-        if ns.show_transform:
-            doc["transform"] = _mat_json(result.transform)
-        _emit_json(doc)
-        return 0
-    print("partition: " + str(result.partition))
-    print("jnf:")
-    print(format_matrix(result.jnf), end="")
-    if ns.show_transform:
-        print("transform:")
-        print(format_matrix(result.transform), end="")
-    return 0
+        print("".join(_text(key, value) for key, value in sections), end="")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--field",
-        metavar="rational|gf:<p>",
-        help="override the field declared in the input header",
-    )
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
-        "--show-transform",
-        action="store_true",
-        help="include the transformation (or similarity witness) in the output",
-    )
-    common.add_argument(
-        "--check",
-        action="store_true",
-        help="re-verify the conjugation identity before printing",
-    )
-
     parser = argparse.ArgumentParser(
         prog="ratform",
         description="Exact canonical forms of matrices over Q and GF(p).",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, doc in [
-        ("rnf", "rational normal form with its transformation"),
-        ("factors", "invariant factors only"),
-        ("minpoly", "minimal polynomial"),
-        ("charpoly", "characteristic polynomial (product of invariant factors)"),
-        ("jnf-nilpotent", "Jordan form of a nilpotent matrix"),
-    ]:
-        sp = subs.add_parser(verb, parents=[common], help=doc)
-        sp.add_argument("matrix", help="matrix file, or - for stdin")
-    sp = subs.add_parser(
-        "similar",
-        parents=[common],
-        help="decide similarity; exit 0 similar, 1 not similar, 2 error",
-    )
-    sp.add_argument("first", help="matrix file, or - for stdin")
-    sp.add_argument("second", help="matrix file")
+    for name, verb in _VERBS.items():
+        sp = subs.add_parser(name, help=verb.help)
+        sp.add_argument(
+            "--field",
+            metavar="rational|gf:<p>",
+            help="override the field declared in the input header",
+        )
+        sp.add_argument("--json", action="store_true", help="emit one JSON document")
+        for flag in verb.flags:
+            sp.add_argument("--" + flag.replace("_", "-"), action="store_true", help=_FLAGS[flag])
+        for arg in verb.inputs:
+            sp.add_argument(arg, help="matrix file, or - for stdin")
     return parser
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    verb = _VERBS[ns.verb]
     try:
         field = _field_override(ns.field) if ns.field else None
-        if ns.verb == "rnf":
-            return _run_rnf(ns, field, factors_only=False)
-        if ns.verb == "factors":
-            return _run_rnf(ns, field, factors_only=True)
-        if ns.verb in ("minpoly", "charpoly"):
-            return _run_poly(ns, field, ns.verb)
-        if ns.verb == "similar":
-            return _run_similar(ns, field)
-        if ns.verb == "jnf-nilpotent":
-            return _run_jnf(ns, field)
-        raise AssertionError(f"unhandled verb {ns.verb}")
+        mats = [_read_matrix(getattr(ns, arg), field) for arg in verb.inputs]
+        sections = verb.run(*mats, **{flag: getattr(ns, flag) for flag in verb.flags})
+        _emit(mats[0].field, sections, ns.json)
     except (RatformError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a negative similarity verdict exits 1
+    return 1 if any(value is False for _, value in sections) else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ exact mathematical equality and zero is the only falsy value.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -60,7 +61,7 @@ class Field:
     Instances are immutable apart from `op_count`, a running tally of the
     arithmetic operations executed through the context.  Scalar methods
     (add, sub, mul, neg, inv) count one each; the row-level methods
-    (dot, matvec, sub_scaled, scale) count in one step exactly what the
+    (matvec, sub_scaled, scale) count in one step exactly what the
     equivalent scalar calls would.  Two contexts compare equal iff they
     describe the same field, so values may flow between structures built
     from equal contexts.
@@ -110,12 +111,8 @@ class Field:
 
     # -- row-level arithmetic: one comprehension and one count per call --
 
-    def dot(self, xs, ys):
-        """Sum of pairwise products; counted as len muls + len-1 adds."""
-        raise NotImplementedError
-
     def matvec(self, rows, v):
-        """[dot(row, v) for row in rows], counted as that many dots."""
+        """Each row's sum of products with v; len(v) muls, len(v)-1 adds per row."""
         raise NotImplementedError
 
     def sub_scaled(self, xs, c, ys):
@@ -172,13 +169,6 @@ class Rationals(Field):
         self.op_count += 1
         return 1 / a
 
-    def dot(self, xs, ys):
-        n = len(xs)
-        if n == 0:
-            return self.zero
-        self.op_count += 2 * n - 1
-        return sum(map(mul, xs, ys))
-
     def matvec(self, rows, v):
         n = len(v)
         if n == 0:
@@ -203,7 +193,12 @@ class Rationals(Field):
         return Fraction(text)  # raises ZeroDivisionError on "a/0"
 
     def format(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:
+            # str() refuses ints past the interpreter's digit limit; Decimal does not.
+            num, den = str(Decimal(a.numerator)), str(Decimal(a.denominator))
+            return num if den == "1" else f"{num}/{den}"
 
 
 class PrimeField(Field):
@@ -251,13 +246,6 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     # Products and sums are exact Python ints, reduced once per result.
-
-    def dot(self, xs, ys):
-        n = len(xs)
-        if n == 0:
-            return 0
-        self.op_count += 2 * n - 1
-        return sum(map(mul, xs, ys)) % self.p
 
     def matvec(self, rows, v):
         n = len(v)

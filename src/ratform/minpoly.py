@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, InternalInvariantError
 from .linalg import Mat, SpanTracker, Vec, eval_poly_vec
-from .poly import Poly, poly_gcd, poly_lcm, split_gcd
+from .poly import Poly, poly_lcm, split_gcd
 
 __all__ = [
     "LocalAnnihilator",
@@ -71,9 +71,9 @@ def combine_lcm_vector(
     """A vector whose minimal polynomial is lcm of the two inputs'.
 
     If one minimal polynomial divides the other, the dominating input is
-    returned unchanged.  If they are coprime, the sum of the vectors
-    works.  Otherwise gcd splitting gives G = h*k and the combination
-    h(A)x + k(A)y realizes the lcm.  The result is recomputed from
+    returned unchanged.  Otherwise gcd splitting gives G = h*k and the
+    combination h(A)x + k(A)y realizes the lcm; for coprime inputs
+    h = k = 1 and this is the sum x + y.  The result is recomputed from
     scratch and checked against lcm(P, Q); a mismatch means a bug, never
     bad input.
     """
@@ -82,12 +82,8 @@ def combine_lcm_vector(
         return ly
     if q.divides(p):
         return lx
-    g = poly_gcd(p, q)
-    if g.degree == 0:
-        z = lx.vector + ly.vector
-    else:
-        h, k, _, _ = split_gcd(p, q)
-        z = eval_poly_vec(h, a, lx.vector) + eval_poly_vec(k, a, ly.vector)
+    h, k, _, _ = split_gcd(p, q)
+    z = eval_poly_vec(h, a, lx.vector) + eval_poly_vec(k, a, ly.vector)
     combined = local_min_poly(a, z)
     if combined.mu != poly_lcm(p, q):
         raise InternalInvariantError(

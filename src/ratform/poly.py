@@ -259,6 +259,7 @@ def split_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly, Poly]:
     h = gcd(G, q_reduced**deg(G) mod G).
 
     Requires monic non-constant inputs with G a proper divisor of both.
+    Coprime inputs (G = 1) give h = k = 1.
     """
     for name, poly in (("first", p), ("second", q)):
         if poly.is_zero or poly.degree < 1:

@@ -79,6 +79,16 @@ def shared_factor_pair(K, rng, max_degree=8):
             return p, q
 
 
+def decimal_digits(n: int) -> str:
+    """Exact decimal text of n, built from chunks str() accepts at any size limit."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= 10**1000:
+        n, r = divmod(n, 10**1000)
+        chunks.append(f"{r:01000d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def gf7():
     return PrimeField(7)
 

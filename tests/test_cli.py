@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import decimal_digits
 from ratform import Mat, Rationals, RnfResult, cli, parse_matrix
 from ratform.cli import main
 
@@ -154,6 +155,42 @@ def test_seed_flag_is_rejected(capsys, diag12):
         main(["factors", "--seed", "42", diag12])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        ("factors", "--show-transform"),
+        ("minpoly", "--check"),
+        ("minpoly", "--show-transform"),
+        ("charpoly", "--check"),
+        ("charpoly", "--show-transform"),
+        ("similar", "--check"),
+    ],
+)
+def test_flags_a_verb_does_not_honour_are_rejected(capsys, diag12, verb, flag):
+    files = [diag12, diag12] if verb == "similar" else [diag12]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, flag, *files])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_scalars_past_the_int_to_str_limit_print_exactly(tmp_path, capsys):
+    z, o = 10**2500, int("3" + "1" * 2500)
+    big = write(tmp_path, "big.mat", f"field rational\n2\n{z} {o}\n{o} {z}\n")
+    assert main(["factors", big]) == 0
+    # X^2 - 2z*X + (z^2 - o^2), and o > z
+    middle, last = decimal_digits(2 * z), decimal_digits(o * o - z * z)
+    assert capsys.readouterr().out == f"factors: [X^2 - {middle}*X - {last}]\n"
+
+
+def test_input_tokens_past_the_int_to_str_limit_are_refused(tmp_path, capsys):
+    long = write(tmp_path, "long.mat", "field rational\n1\n" + "7" * 4401 + "\n")
+    assert main(["factors", long]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import decimal_digits
 from ratform import PrimeField, Rationals
 from ratform.field import PRIME_BOUND
 
@@ -82,6 +83,20 @@ def test_rational_string_round_trip():
     assert K.format(Fraction(4, 2)) == "2"
 
 
+def test_rational_format_is_exact_past_the_int_to_str_limit():
+    K = Rationals()
+    for value in (10**5000, -(3**20000), Fraction(10**5000 + 1, 3), Fraction(-7, 2**20000)):
+        value = Fraction(value)
+        num, den = decimal_digits(value.numerator), decimal_digits(value.denominator)
+        assert K.format(value) == (num if den == "1" else f"{num}/{den}")
+    assert K.format(Fraction(-10**5000, 7)) == "-1" + "0" * 5000 + "/7"
+
+
+def test_rational_parse_rejects_tokens_past_the_int_to_str_limit():
+    with pytest.raises(ValueError, match="4300"):
+        Rationals().parse("7" * 4401)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 101])
 def test_gf_inverses_exhaustive(p):
     K = PrimeField(p)
@@ -111,8 +126,8 @@ def test_op_count_tallies_arithmetic():
     K.reset_op_count()
     K.add(1, 2)
     K.mul(3, 4)
-    K.dot([1, 2, 3], [4, 5, 6])
-    assert K.op_count == 2 + 5
+    K.matvec([[1, 2, 3], [0, 1, 0]], [4, 5, 6])
+    assert K.op_count == 2 + 2 * 5
 
 
 def test_field_equality_ignores_counters():

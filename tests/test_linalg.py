@@ -267,7 +267,7 @@ def test_span_tracker_agrees_with_rank_on_planted_dependences(K):
             rejected += 1
             coords = tracker.dependence()
             assert len(coords) == len(added)
-            rebuilt = [K.dot(row, coords) for row in zip(*(u.entries for u in added))]
+            rebuilt = K.matvec(list(zip(*(u.entries for u in added))), coords)
             assert (rebuilt == v.entries) if added else v.is_zero
         assert tracker.rank == len(added)
     assert rejected >= 60

@@ -155,6 +155,20 @@ def test_split_gcd_random_gf7():
         _check_split_postconditions(p, q)
 
 
+@pytest.mark.parametrize("K", [PrimeField(7), Rationals()], ids=["GF7", "Q"])
+def test_split_gcd_of_a_coprime_pair_is_trivial(K):
+    # combine_lcm_vector relies on this to combine coprime vectors as x + y
+    rng = random.Random(29)
+    pairs = 0
+    while pairs < 100:
+        p = rand_monic(K, rng, rng.randint(1, 6))
+        q = rand_monic(K, rng, rng.randint(1, 6))
+        if poly_gcd(p, q) != Poly.one(K):
+            continue
+        pairs += 1
+        assert split_gcd(p, q) == (Poly.one(K), Poly.one(K), p, q)
+
+
 def test_eval_poly_examples():
     K = Rationals()
     shift = Mat.from_ints(K, [[0, 1], [0, 0]])
