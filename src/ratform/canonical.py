@@ -22,7 +22,8 @@ from .linalg import (
     block_diag,
     companion,
     completion_indices,
-    inverse,
+    conjugates,
+    over_rows,
     pivot_columns,
 )
 from .minpoly import min_poly_vector
@@ -273,8 +274,9 @@ def is_similar(a: Mat, b: Mat, *, witness: bool = False):
     """Decide similarity by comparing invariant factors.
 
     With witness=True returns (similar, S) where S is invertible with
-    A S = S B when similar (None otherwise); the witness equation is
-    checked exactly before returning.
+    A S = S B when similar (None otherwise).  S = Ta * Tb^-1 for the rnf
+    transforms, read off by `over_rows` with no inverse formed, and is
+    checked by `conjugates` (A S == S B and rank n) before returning.
     """
     if not a.is_square or not b.is_square:
         raise DimensionError("similarity is defined for square matrices")
@@ -289,9 +291,9 @@ def is_similar(a: Mat, b: Mat, *, witness: bool = False):
         return same
     if not same:
         return False, None
-    s = ra.transform * inverse(rb.transform)
-    if a * s != s * b:
-        raise InternalInvariantError("similarity witness fails A*S = S*B")
+    s = over_rows(ra.transform, rb.transform)
+    if not conjugates(a, s, b):
+        raise InternalInvariantError("similarity witness fails A*S = S*B or is singular")
     return True, s
 
 

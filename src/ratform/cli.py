@@ -16,6 +16,7 @@ numbers) and polynomial coefficient arrays in ascending order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 from .canonical import char_poly, is_similar, nilpotent_jnf, rnf
 from .errors import RatformError
 from .field import Field, PrimeField, Rationals
-from .linalg import Mat, rank
+from .linalg import Mat, conjugates
 from .matio import format_matrix, parse_matrix
 from .minpoly import min_poly
 from .poly import Poly
@@ -51,15 +52,10 @@ def _read_matrix(path: str, field: Field | None) -> Mat:
         raise RatformError(f"{path}: {exc}") from None
 
 
-def _verify_conjugation(a: Mat, transform: Mat, form: Mat) -> None:
-    if a * transform != transform * form or rank(transform) != a.nrows:
-        raise RatformError("check failed: transform does not conjugate onto the form")
-
-
 def _conjugated(a: Mat, transform: Mat, sections: list, check: bool, show_transform: bool) -> list:
     """`sections` end in the form that `transform` conjugates `a` onto."""
-    if check:
-        _verify_conjugation(a, transform, sections[-1][1])
+    if check and not conjugates(a, transform, sections[-1][1]):
+        raise RatformError("check failed: transform does not conjugate onto the form")
     return sections + [("transform", transform)] if show_transform else sections
 
 
@@ -141,6 +137,7 @@ def _emit(field: Field, sections: list, as_json: bool) -> None:
         print("".join(_text(key, value) for key, value in sections), end="")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratform",

@@ -6,9 +6,11 @@ routines mutate only private working copies, so values are safe to
 share across threads.
 
 `SpanTracker` is the only forward elimination; `rref`, and through it
-`inverse`, `solve` and `kernel_basis`, adds a back pass to its rows.
+`solve` and `kernel_basis`, adds a back pass to its rows, and
+`over_rows` (X * A^-1, so also `inverse`) reads its coordinates.
 `completion_indices` feeds it reversed vectors, so its pivots give a
-basis completion and it gives coordinates in that basis.
+basis completion and it gives coordinates in that basis.  `conjugates`
+is the one check of a transform: A*T == T*B and full rank.
 """
 
 from __future__ import annotations
@@ -154,9 +156,6 @@ class Mat:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def row(self, i: int) -> Vec:
-        return Vec(self.field, self.data[i])
 
     def col(self, j: int) -> Vec:
         return Vec(self.field, [self.data[i][j] for i in range(self.nrows)])
@@ -308,21 +307,29 @@ def rank(a: Mat) -> int:
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact inverse, read off the reduced form of [A | I]."""
+    """Exact inverse: the identity written over the rows of A (`over_rows`)."""
+    return over_rows(Mat.identity(a.field, a.nrows), a)
+
+
+def over_rows(x: Mat, a: Mat) -> Mat:
+    """X * A^-1: row i solves y * A == row i of X, for an invertible A.
+
+    One `SpanTracker` reduces the rows of A, and `coordinates` writes
+    each row of X over them.
+    """
     _require_square(a)
-    K = a.field
-    n = a.nrows
-    aug = Mat(
-        K,
-        [
-            row + [K.one if i == j else K.zero for j in range(n)]
-            for i, row in enumerate(a.data)
-        ],
-    )
-    reduced, pivots, rk = rref(aug)
-    if rk < n or pivots[:n] != list(range(n)):
+    a._require_same_field(x)
+    if x.ncols != a.ncols:
+        raise DimensionError(f"rows of length {x.ncols} over a {a.nrows}x{a.ncols} matrix")
+    tracker = SpanTracker(a.field, a.ncols)
+    if not all(map(tracker.try_add, a.data)):
         raise SingularMatrixError("matrix is singular")
-    return reduced.block(0, n, n, n)
+    return Mat(a.field, [tracker.coordinates(row)[0] for row in x.data])
+
+
+def conjugates(a: Mat, t: Mat, b: Mat) -> bool:
+    """Whether T is invertible with A*T == T*B, that is T^-1 * A * T == B."""
+    return a * t == t * b and rank(t) == a.nrows
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
@@ -559,12 +566,11 @@ def eval_poly_vec(p: Poly, a: Mat, v: Vec) -> Vec:
     if len(v.entries) != a.nrows:
         raise DimensionError("vector length does not match matrix size")
     K = a.field
-    w = Vec.zeros(K, a.nrows)
-    first = True
-    for c in reversed(p.coeffs):
-        if not first:
-            w = a * w
-        first = False
+    if p.is_zero:
+        return Vec.zeros(K, a.nrows)
+    w = Vec(K, K.scale(p.coeffs[-1], v.entries))
+    for c in reversed(p.coeffs[:-1]):
+        w = a * w
         if c:
             w = Vec(K, [K.add(x, K.mul(c, y)) for x, y in zip(w.entries, v.entries)])
     return w

@@ -12,9 +12,11 @@ from ratform import (
     Rationals,
     Vec,
     block_diag,
+    canonical,
     char_poly,
     char_poly_oracle,
     companion,
+    eval_poly,
     eval_poly_vec,
     format_matrix,
     invariant_factors,
@@ -27,7 +29,12 @@ from ratform import (
     rank,
     rnf,
 )
-from ratform.errors import DimensionError, MixedFieldError, NotNilpotentError
+from ratform.errors import (
+    DimensionError,
+    InternalInvariantError,
+    MixedFieldError,
+    NotNilpotentError,
+)
 
 
 def P(K, *ints):
@@ -190,6 +197,15 @@ def test_is_similar_examples():
     zero = Mat.zeros(K, 2, 2)
     assert char_poly(shift) == char_poly(zero)
     assert not is_similar(shift, zero)
+
+
+def test_a_singular_similarity_witness_is_refused(monkeypatch):
+    """A zero S satisfies A*S == S*B on its own; the rank check refuses it."""
+    K = Rationals()
+    a = rand_matrix(K, random.Random(104), 3)
+    monkeypatch.setattr(canonical, "over_rows", lambda x, t: Mat.zeros(K, 3, 3))
+    with pytest.raises(InternalInvariantError, match="witness"):
+        is_similar(a, a, witness=True)
 
 
 def test_is_similar_input_checks():
@@ -388,6 +404,31 @@ def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
         K.reset_op_count()
         assert len(rnf(a).factors) == 1
         assert K.op_count == count, n
+
+
+def test_eval_poly_vec_starts_horner_at_the_leading_term():
+    """A constant costs n ops and a zero polynomial none; rnf's T is unchanged."""
+    K = PrimeField(101)
+    rng = random.Random(111)
+    a = rand_matrix(K, rng, 8)
+    v = Vec(K, [rng.randrange(101) for _ in range(8)])
+    for p in (P(K, 5), P(K, 1), P(K, 3, 0, 1), rand_monic(K, rng, 4)):
+        K.reset_op_count()
+        got = eval_poly_vec(p, a, v)
+        if p.degree == 0:
+            assert K.op_count == 8
+        assert got == eval_poly(p, a) * v
+    K.reset_op_count()
+    assert eval_poly_vec(Poly.zero(K), a, v) == Vec.zeros(K, 8)
+    assert K.op_count == 0
+    # distinct eigenvalues make every lcm combination coprime (h = k = 1);
+    # Horner from the zero vector took 14,064
+    d = Mat(K, [[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
+    K.reset_op_count()
+    got = rnf(d)
+    assert K.op_count == 13_952
+    digest = hashlib.sha256(format_matrix(got.transform).encode()).hexdigest()
+    assert digest == "39d456c11a85e19e88b1063d9aed2b03d63d501f5db7a0f810e952d1d024ebb5"
 
 
 def test_cyclic_rnf_needs_neither_solve_nor_rref(monkeypatch):

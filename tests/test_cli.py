@@ -6,7 +6,19 @@ from pathlib import Path
 import pytest
 
 from conftest import decimal_digits
-from ratform import Mat, Rationals, RnfResult, cli, parse_matrix
+from ratform import (
+    Mat,
+    PrimeField,
+    Rationals,
+    RnfResult,
+    cli,
+    inverse,
+    is_similar,
+    linalg,
+    nilpotent_jnf,
+    parse_matrix,
+    rnf,
+)
 from ratform.cli import main
 
 
@@ -110,6 +122,38 @@ def test_check_rejects_a_transform_that_does_not_conjugate(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "rnf", fake)
     assert main(["rnf", "--check", diag12]) == 2
     assert "check failed" in capsys.readouterr().err
+
+
+def test_no_library_path_inverts_a_matrix(monkeypatch, tmp_path, capsys, diag12):
+    """rnf, the similarity witness, the nilpotent Jordan form and every verb
+    with every flag it honours run with each binding of `inverse` raising."""
+    K = PrimeField(7)
+    a = Mat.from_ints(K, [[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 3, 0], [0, 4, 5, 1]])
+    s = Mat.from_ints(K, [[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [4, 0, 0, 1]])
+    b = inverse(s) * a * s
+    nil = Mat.from_ints(K, [[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a matrix was inverted")
+
+    original = linalg.inverse
+    for key, module in list(sys.modules.items()):
+        if key == "ratform" or key.startswith("ratform."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert linalg.inverse is forbidden
+    rnf(a)
+    same, witness = is_similar(a, b, witness=True)
+    assert same and a * witness == witness * b
+    assert nilpotent_jnf(nil).partition == [3]
+    same_file = write(tmp_path, "same.mat", "field rational\n2\n2 0\n0 1\n")
+    nil_file = write(tmp_path, "nil.mat", "field gf 7\n3\n0 1 2\n0 0 3\n0 0 0\n")
+    for name, verb in cli._VERBS.items():
+        flags = ["--" + flag.replace("_", "-") for flag in verb.flags]
+        files = [nil_file] if name == "jnf-nilpotent" else [diag12, same_file][: len(verb.inputs)]
+        assert main([name, *flags, *files]) == 0, name
+    capsys.readouterr()
 
 
 def test_minpoly_charpoly_factors(tmp_path, capsys):

@@ -6,8 +6,9 @@ what the per-scalar composition returns and add exactly as much to
 their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
 copies of themselves, op counts included.  `rref` and what reads it
-(`solve`, `inverse`, `kernel_basis`) must also equal a scalar
-Gauss-Jordan elimination in value.  The basis completion read off the
+(`solve`, `kernel_basis`), and `over_rows` and `inverse`, which read
+`SpanTracker` coordinates, must also equal a scalar Gauss-Jordan
+elimination in value.  The basis completion read off the
 reversed Krylov chain, and the quotient split built on it, must equal
 the scan over e_0, e_1, ... and the Gauss-Jordan solve they replace.
 """
@@ -34,8 +35,8 @@ from ratform import (
     rref,
     solve,
 )
-from ratform.errors import SingularMatrixError
-from ratform.linalg import SpanTracker, completion_indices, pivot_columns
+from ratform.errors import DimensionError, SingularMatrixError
+from ratform.linalg import SpanTracker, completion_indices, over_rows, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
 IDS = ["GF7", "GF1e9+7", "Q"]
@@ -261,6 +262,20 @@ def gj_inverse(K, a):
     return [r[n:] for r in m]
 
 
+def gj_over_rows(K, x, inv):
+    """X * A^-1 in scalar calls, given A^-1 from `gj_inverse`."""
+    out = []
+    for r in x.data:
+        y = []
+        for col in zip(*inv):
+            acc = K.zero
+            for u, w in zip(r, col):
+                acc = K.add(acc, K.mul(u, w))
+            y.append(acc)
+        out.append(y)
+    return out
+
+
 def gj_solve(K, a, b):
     m, pivots = rref_ref(K, Mat(K, [r + [x] for r, x in zip(a.data, b)]))
     if pivots and pivots[-1] == a.ncols:
@@ -327,13 +342,22 @@ def test_rref_and_its_readers_equal_gauss_jordan(K):
         for b in (row(K, rng, a.nrows), (a * Vec(K, row(K, rng, a.ncols))).entries):
             x = solve(a, Vec(K, b))
             assert (x if x is None else x.entries) == gj_solve(K, a, b)
-        if a.is_square:
-            expected = gj_inverse(K, a)
-            if expected is None:
-                with pytest.raises(SingularMatrixError):
-                    inverse(a)
-            else:
-                assert inverse(a).data == expected
+        x = Mat(K, [row(K, rng, a.ncols) for _ in range(rng.randint(1, 3))])
+        if not a.is_square:
+            with pytest.raises(DimensionError):
+                over_rows(x, a)
+            continue
+        with pytest.raises(DimensionError):
+            over_rows(Mat(K, [row(K, rng, a.ncols + 1)]), a)
+        expected = gj_inverse(K, a)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                inverse(a)
+            with pytest.raises(SingularMatrixError):
+                over_rows(x, a)
+        else:
+            assert inverse(a).data == expected
+            assert over_rows(x, a).data == gj_over_rows(K, x, expected)
 
 
 def completion_scan(K, vectors, n):
