@@ -9,11 +9,17 @@ scales polynomially.
 
 Because the representations are canonical, `==` on scalar values is
 exact mathematical equality and zero is the only falsy value.
+
+A field also owns the format of the rows `SpanTracker` stores: lists
+over Q, and over GF(p) one int per row with an entry in each fixed-width
+slot (`PrimeField.pack`), reduced mod p only when read back.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
@@ -29,6 +35,8 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # 2015); the first twelve alone only reach psi_12 = 318665857834031151167461.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+
+_LITTLE = sys.byteorder == "little"  # array("Q") is in machine byte order
 
 
 def _is_prime(n: int) -> bool:
@@ -122,6 +130,10 @@ class Field:
     def scale(self, c, xs):
         """[c*x for x in xs]; counted as one mul each."""
         raise NotImplementedError
+
+    def slot_bytes(self, dim: int) -> int:
+        """Bytes per entry of a packed row of length dim; 0: rows stay lists."""
+        return 0
 
     # -- conversions --
 
@@ -264,6 +276,26 @@ class PrimeField(Field):
         self.op_count += len(xs)
         p = self.p
         return [c * x % p for x in xs]
+
+    # A packed row is one int with entry i in the little-endian slot of b
+    # bytes at bit 8*b*i.  A slot holds a residue plus dim products of two
+    # residues, so `V += (p - c) * row` never carries into the next slot.
+
+    def slot_bytes(self, dim: int) -> int:
+        return max(8, (((self.p - 1) * (1 + dim * (self.p - 1))).bit_length() + 7) // 8)
+
+    def pack(self, entries, b: int) -> int:
+        """Canonical residues as one int with slots of b bytes."""
+        if b == 8 and _LITTLE:
+            return int.from_bytes(array("Q", entries).tobytes(), "little")
+        return int.from_bytes(b"".join(x.to_bytes(b, "little") for x in entries), "little")
+
+    def unpack(self, packed: int, n: int, b: int) -> list:
+        """The n slots of a packed int, each reduced mod p."""
+        p, data = self.p, packed.to_bytes(b * n, "little")
+        if b == 8 and _LITTLE:
+            return [x % p for x in array("Q", data)]
+        return [int.from_bytes(data[i : i + b], "little") % p for i in range(0, b * n, b)]
 
     def from_int(self, k: int):
         return k % self.p

@@ -271,7 +271,7 @@ def rref(a: Mat) -> Rref:
     tracker = SpanTracker(K, a.ncols)
     for row in a.data:
         tracker.try_add(row)
-    rows = sorted(tracker.rows, key=lambda r: r[0])
+    rows = sorted(tracker.pivot_rows(), key=lambda r: r[0])
     for k in range(len(rows) - 1, 0, -1):
         q, below = rows[k]
         for p, tail in rows[:k]:
@@ -379,27 +379,67 @@ class SpanTracker:
     multipliers (j, c) it was reduced by, which is enough to write a
     vector, or its part in the span, over the vectors that were added
     (`dependence`, `coordinates`).
+
+    Over GF(p) a row is one int packed by the field (`PrimeField.pack`):
+    taking c times it off a vector is one big-int multiply-add, and the
+    vector is reduced mod p once, when unpacked.  A vector is packed,
+    and reduced mod p first, at the first row with a non-zero
+    multiplier, so one that meets no row is never packed and is kept as
+    given.  Over Q rows stay lists.  `pivots` and `pivot_rows` read rows
+    back.
     """
 
-    __slots__ = ("field", "dim", "rows", "steps", "relation")
+    __slots__ = ("field", "dim", "slot", "_rows", "steps", "relation")
 
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.dim = dim
-        self.rows: list[tuple[int, list]] = []  # (pivot, entries after the pivot)
+        self.slot = field.slot_bytes(dim)  # bytes per packed entry; 0 for list rows
+        self._rows: list[tuple[int, object]] = []  # (pivot, packed int or list of the tail)
         self.steps: list[tuple] = []  # (pivot scale, multipliers) per row
         self.relation = None  # multipliers of the last vector try_add rejected
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return [piv for piv, _ in self._rows]
+
+    def pivot_rows(self) -> list[tuple[int, list]]:
+        """The rows in insertion order as (pivot, fresh list of the entries after it)."""
+        if not self.slot:
+            return [(piv, list(tail)) for piv, tail in self._rows]
+        K, b, n = self.field, self.slot, self.dim
+        return [(q, K.unpack(row >> 8 * b * (q + 1), n - q - 1, b)) for q, row in self._rows]
 
     def _reduce(self, entries) -> tuple[list, list]:
         """The residual of a vector and the multipliers (j, c) of rows taken off."""
         K = self.field
+        rows = self._rows
+        if self.slot:
+            for first, (piv, _) in enumerate(rows):
+                if entries[piv]:
+                    break
+            else:
+                return list(entries), []
+            b, n, p = self.slot, self.dim, K.p
+            # the slot bound needs residues, and Mat and Vec keep entries as given
+            packed = K.pack([x % p for x in entries], b)
+            w, mask = 8 * b, (1 << 8 * b) - 1
+            multipliers, ops = [], 0
+            for j, (piv, row) in enumerate(rows[first:], first):
+                c = (packed >> w * piv & mask) % p
+                if c:
+                    packed += (p - c) * row
+                    multipliers.append((j, c))
+                    ops += n - piv - 1
+            K.op_count += 2 * ops  # as the sub_scaled calls of the list rows
+            return K.unpack(packed, n, b), multipliers
         v = list(entries)
         multipliers = []
-        for j, (piv, tail) in enumerate(self.rows):
+        for j, (piv, tail) in enumerate(rows):
             c = v[piv]
             if not c:
                 continue
@@ -420,7 +460,10 @@ class SpanTracker:
             self.relation = multipliers
             return False
         s = K.inv(v[pivot])
-        self.rows.append((pivot, K.scale(s, v[pivot + 1 :])))
+        row = K.scale(s, v[pivot + 1 :])
+        if self.slot:
+            row = K.pack([K.one] + row, self.slot) << 8 * self.slot * pivot
+        self._rows.append((pivot, row))
         self.steps.append((s, multipliers))
         return True
 
@@ -450,7 +493,7 @@ class SpanTracker:
         so going from the last row down costs O(rank^2) field operations.
         """
         K = self.field
-        y = [K.zero] * len(self.rows)
+        y = [K.zero] * len(self._rows)
         for j, c in multipliers:
             y[j] = c
         for k in range(len(y) - 1, -1, -1):
@@ -479,7 +522,7 @@ def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTr
             raise DimensionError("vector of wrong length")
         if not tracker.try_add(v.entries[::-1]):
             raise ValueError("input vectors are linearly dependent")
-    ends = {n - 1 - p for p, _ in tracker.rows}
+    ends = {n - 1 - p for p in tracker.pivots}
     return tracker, [i for i in range(n) if i not in ends]
 
 

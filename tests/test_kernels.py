@@ -5,12 +5,15 @@ what the per-scalar composition returns and add exactly as much to
 `op_count`, so op totals read by criterion 8 and the benchmark keep
 their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
-copies of themselves, op counts included.  `rref` and what reads it
-(`solve`, `kernel_basis`), and `over_rows` and `inverse`, which read
-`SpanTracker` coordinates, must also equal a scalar Gauss-Jordan
-elimination in value.  The basis completion read off the
-reversed Krylov chain, and the quotient split built on it, must equal
-the scan over e_0, e_1, ... and the Gauss-Jordan solve they replace.
+copies of themselves, op counts included; `SpanTracker`'s packed GF(p)
+rows are read back through `pivot_rows`, also at the edges of the slot
+width, and a GF(p) entry outside [0, p) is reduced where it is packed.
+`rref` and what reads it (`solve`, `kernel_basis`), and `over_rows` and
+`inverse`, which read `SpanTracker` coordinates, must also equal a
+scalar Gauss-Jordan elimination in value.  The basis completion read
+off the reversed Krylov chain, and the quotient split built on it, must
+equal the scan over e_0, e_1, ... and the Gauss-Jordan solve they
+replace.
 """
 
 import random
@@ -28,6 +31,7 @@ from ratform import (
     canonical,
     companion,
     complete_to_basis,
+    field,
     inverse,
     kernel_basis,
     local_min_poly,
@@ -36,6 +40,7 @@ from ratform import (
     solve,
 )
 from ratform.errors import DimensionError, SingularMatrixError
+from ratform.field import PRIME_BOUND, _is_prime
 from ratform.linalg import SpanTracker, completion_indices, over_rows, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
@@ -163,15 +168,19 @@ def rref_ref(K, a):
 
 
 class ScalarTracker(SpanTracker):
-    """SpanTracker with its forward reduction written in scalar calls."""
+    """SpanTracker with list rows and its forward reduction written in scalar calls."""
 
     __slots__ = ()
+
+    def __init__(self, field, dim):
+        super().__init__(field, dim)
+        self.slot = 0
 
     def _reduce(self, entries):
         K = self.field
         v = list(entries)
         multipliers = []
-        for j, (piv, tail) in enumerate(self.rows):
+        for j, (piv, tail) in enumerate(self._rows):
             c = v[piv]
             if c == K.zero:
                 continue
@@ -188,7 +197,7 @@ class ScalarTracker(SpanTracker):
             self.relation = multipliers
             return False
         s = K.inv(v[pivot])
-        self.rows.append((pivot, [K.mul(s, x) for x in v[pivot + 1 :]]))
+        self._rows.append((pivot, [K.mul(s, x) for x in v[pivot + 1 :]]))
         self.steps.append((s, multipliers))
         return True
 
@@ -198,7 +207,7 @@ def rref_scalar(K, a):
     tracker = ScalarTracker(K, a.ncols)
     for r in a.data:
         tracker.try_add(r)
-    rows = sorted(tracker.rows, key=lambda r: r[0])
+    rows = sorted(tracker.pivot_rows(), key=lambda r: r[0])
     for k in range(len(rows) - 1, 0, -1):
         q, below = rows[k]
         for p, tail in rows[:k]:
@@ -244,13 +253,103 @@ def test_eliminations_unchanged_on_rank_deficient_rectangular_inputs(K):
         assert got == expected == pivots
         assert ops == expected_ops
 
-        fast, slow = SpanTracker(K, a.nrows), ScalarTracker(K, a.nrows)
-        for col in zip(*a.data):
-            assert counted(K, fast.try_add, col) == counted(K, slow.try_add, col)
-            assert (fast.rows, fast.steps) == (slow.rows, slow.steps)
-            assert counted(K, fast.contains, col) == counted(K, slow.contains, col)
-            if fast.relation is not None:
-                assert counted(K, fast.dependence) == counted(K, slow.dependence)
+        assert_trackers_agree(K, a.nrows, list(zip(*a.data)))
+
+
+def assert_trackers_agree(K, n, vectors):
+    """SpanTracker and its scalar twin, fed the same vectors, agree in value and op count."""
+    fast, slow = SpanTracker(K, n), ScalarTracker(K, n)
+    for v in vectors:
+        assert counted(K, fast.try_add, v) == counted(K, slow.try_add, v)
+        assert (fast.pivot_rows(), fast.steps) == (slow.pivot_rows(), slow.steps)
+        assert fast.pivots == slow.pivots == [piv for piv, _ in slow.pivot_rows()]
+        assert counted(K, fast.contains, v) == counted(K, slow.contains, v)
+        assert counted(K, fast.coordinates, v) == counted(K, slow.coordinates, v)
+        if fast.relation is not None:
+            assert counted(K, fast.dependence) == counted(K, slow.dependence)
+    for _, tail in fast.pivot_rows():
+        tail.clear()  # rref's back pass edits the tails it is given
+    assert fast.pivot_rows() == slow.pivot_rows()
+
+
+# The largest prime below PRIME_BOUND: its slots are wider than 8 bytes at every dim.
+LARGEST_PRIME = 3317044064679887385961813
+
+
+def test_slot_width_edges():
+    assert PrimeField(LARGEST_PRIME).slot_bytes(1) == 21
+    assert not any(_is_prime(q) for q in range(LARGEST_PRIME + 1, PRIME_BOUND))
+    assert [PrimeField(1000000007).slot_bytes(n) for n in (18, 19)] == [8, 9]
+    assert PrimeField(2).slot_bytes(130) == PrimeField(101).slot_bytes(130) == 8
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, 1), (2, 9), (101, 1), (101, 130), (1000000007, 18), (1000000007, 19),
+     (LARGEST_PRIME, 1), (LARGEST_PRIME, 130)],
+)
+def test_packed_elimination_at_its_edges(p, n, monkeypatch):
+    K = PrimeField(p)
+    b = K.slot_bytes(n)
+    top = [p - 1] * n
+    # a slot holds a residue plus n products of two residues: all p - 1 is the worst case
+    worst = (p - 1) * (1 + n * (p - 1))
+    assert worst < 256**b
+    assert K.unpack(K.pack(top, b) * (1 + n * (p - 1)), n, b) == [worst % p] * n
+
+    # the byte-slice path, which big-endian machines take at every width, agrees
+    rng = random.Random(409 + n)
+    samples = [top, row(K, rng, n)]
+
+    def round_trips():
+        return [(K.pack(v, b), K.unpack(K.pack(v, b) * (1 + n * (p - 1)), n, b)) for v in samples]
+
+    expected = round_trips()
+    monkeypatch.setattr(field, "_LITTLE", False)
+    assert round_trips() == expected
+    monkeypatch.undo()
+
+    units = [Vec.basis(K, n, i).entries for i in rng.sample(range(n), min(n, 3))]
+    dense = [row(K, rng, n) for _ in range(min(n, 6))]
+    in_span = [K.add(x, y) for x, y in zip(dense[0], dense[-1])]
+    vectors = units + [tuple(top)] + [tuple(v) for v in dense[:3]] + dense[3:]
+    vectors += [in_span, top, [K.zero] * n] + units
+    assert_trackers_agree(K, n, vectors)
+    m = Mat(K, [list(v) for v in vectors])
+    reduced = rref(m)
+    assert (reduced.matrix.data, reduced.pivots) == rref_ref(K, m)
+
+    # unit vectors meet no row with a non-zero multiplier, so only the stored rows are packed
+    packs = []
+    pack = PrimeField.pack
+    monkeypatch.setattr(PrimeField, "pack", lambda F, xs, w: packs.append(w) or pack(F, xs, w))
+    tracker = SpanTracker(K, n)
+    assert all(tracker.try_add(Vec.basis(K, n, i).entries) for i in reversed(range(n)))
+    assert packs == [b] * n
+
+
+def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
+    K = PrimeField(7)
+    assert [str(f) for f in rnf(Mat(K, [[-1, 0], [0, 1]])).factors] == ["X^2 + 6"]
+    rng = random.Random(410)
+    packed = negative = at_least_p = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = [row(K, rng, n) for _ in range(n)]
+        shifted = [[x + 7 * rng.randint(-3, 3) for x in r] for r in a]
+        negative += sum(x < 0 for r in shifted for x in r)
+        at_least_p += sum(x >= 7 for r in shifted for x in r)
+        got, want = rnf(Mat(K, shifted)), rnf(Mat(K, a))
+        assert (got.factors, got.transform) == (want.factors, want.transform)
+        tracker = SpanTracker(K, n)
+        for v in a:
+            tracker.try_add(v)
+        for r, v in zip(shifted, a):
+            if any(r[q] for q in tracker.pivots):  # r meets a row, so it is packed
+                packed += 1
+                assert tracker.coordinates(r) == tracker.coordinates(v)
+                assert tracker.contains(r) and tracker.contains(v)
+    assert packed >= 60 and negative and at_least_p
 
 
 def gj_inverse(K, a):
