@@ -18,10 +18,9 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    Vec,
+    SpanTracker,
     block_diag,
     companion,
-    completion_indices,
     conjugates,
     over_rows,
     pivot_columns,
@@ -74,24 +73,26 @@ def _fail(phase: str, block: int, message: str) -> InternalInvariantError:
     return InternalInvariantError(f"rnf {phase}, block {block}: {message}")
 
 
-def _split_quotient(sub: Mat, krylov: list[Vec]) -> tuple[list[int], list[list], Mat]:
-    """Split the cyclic block of `krylov` off the quotient matrix `sub`.
+def _split_quotient(sub: Mat, tracker: SpanTracker) -> tuple[list[int], list[list], Mat]:
+    """Split a cyclic block off the quotient matrix `sub`, reading only its tracker.
 
-    In the basis C = [V | e_s for s in keep], with V the Krylov chain
-    and `keep` from `completion_indices`, the first d columns of
-    C^-1 * sub * C are companion(mu) over zeros by construction, and
-    sub * e_s is column s of sub, so only the completion columns
-    C^-1 * y are computed.  The tracker that reduced V by its last
-    entries gives both parts of each: the Krylov coordinates, and in
-    its residual the coordinates on the e_s.
+    `tracker` is the one `local_min_poly` fed the block's Krylov chain
+    V, reversed, to find its polynomial mu; no elimination is repeated.
+    Its pivots give `keep`, the e_s completing V.  In the basis
+    C = [V | e_s for s in keep] the first d columns of C^-1 * sub * C
+    are companion(mu) over zeros by construction, and sub * e_s is
+    column s of sub, so only the completion columns C^-1 * y are
+    computed.  The tracker gives both parts of each: the Krylov
+    coordinates, and in its residual the coordinates on the e_s.  For
+    the last block `keep` is empty and nothing is computed.
 
     Returns `keep`, the d rows of couplings of the new block to the
     completion, and the quotient matrix left to split.
     """
     m = sub.nrows
-    tracker, keep = completion_indices(sub.field, krylov, m)
+    keep = tracker.completion()
     parts = [tracker.coordinates(sub.col(s).entries[::-1]) for s in keep]
-    coupling = [list(row) for row in zip(*(x for x, _ in parts))]
+    coupling = [[x[k] for x, _ in parts] for k in range(tracker.rank)]
     rest = [[r[m - 1 - t] for _, r in parts] for t in keep]
     return keep, coupling, Mat(sub.field, rest)
 
@@ -160,13 +161,12 @@ def _times_form(cols: list[list], factors: list[Poly]) -> list[list]:
 
 def _certify(a: Mat, cols: list[list], factors: list[Poly], offsets: list[int]) -> Mat:
     """T from its columns, checked once: A*T == T*R and rank(T) == n."""
-    n = a.nrows
-    t = Mat.from_cols(a.field, cols, n)
-    image = (a * t).transpose().data
-    for c, (lhs, rhs) in enumerate(zip(image, _times_form(cols, factors))):
-        if lhs != rhs:
+    n, K = a.nrows, a.field
+    for c, (col, rhs) in enumerate(zip(cols, _times_form(cols, factors))):
+        if K.matvec(a.data, col) != rhs:
             block = bisect_right(offsets, c) - 1
             raise _fail("certify", block, f"A*T and T*R differ in column {c}")
+    t = Mat.from_cols(a.field, cols, n)
     pivots = pivot_columns(t)
     if len(pivots) < n:
         c = next(i for i, p in enumerate(pivots + [n]) if p != i)
@@ -180,8 +180,9 @@ def rnf(a: Mat) -> RnfResult:
     Peels one companion block at a time, in shrinking quotient
     coordinates: find a vector realizing the minimal polynomial of the
     quotient matrix not yet split off, extend its Krylov chain to a
-    basis with canonical vectors, and carry on with the completion's
-    part of the quotient.  A block touches only that quotient, the
+    basis with canonical vectors, read off the elimination that found
+    its polynomial, and carry on with the completion's part of the
+    quotient.  A block touches only that quotient, the
     couplings of the earlier blocks to it, and its own columns of T,
     which are its Krylov chain in the coordinates of A.  The couplings
     are then cleared innermost-first, each block updating only the rows
@@ -213,11 +214,9 @@ def rnf(a: Mat) -> RnfResult:
             if factors and not ann.mu.divides(factors[-1]):
                 raise InternalInvariantError("invariant factor chain broken")
             d = ann.mu.degree
-            keep: list[int] = []
-            if d < n - off:
-                keep, coupling, sub = _split_quotient(sub, ann.krylov)
-                for k, row in enumerate(coupling):
-                    upper[off + k][off + d :] = row
+            keep, coupling, sub = _split_quotient(sub, ann.tracker)
+            for k, row in enumerate(coupling):
+                upper[off + k][off + d :] = row
         except InternalInvariantError as exc:
             raise _fail("peel", j, str(exc)) from exc
         for row in upper[:off]:

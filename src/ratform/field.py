@@ -8,7 +8,9 @@ operations performed -- useful for checking that an algorithm's cost
 scales polynomially.
 
 Because the representations are canonical, `==` on scalar values is
-exact mathematical equality and zero is the only falsy value.
+exact mathematical equality and zero is the only falsy value.  `Mat`
+and `Vec` put their entries through `canonical_row` when built, so an
+int outside [0, p) given to them is reduced mod p there, once.
 
 A field also owns the format of the rows `SpanTracker` stores: lists
 over Q, and over GF(p) one int per row with an entry in each fixed-width
@@ -139,6 +141,10 @@ class Field:
 
     def from_int(self, k: int):
         raise NotImplementedError
+
+    def canonical_row(self, xs) -> list:
+        """The entries as a fresh list of canonical values; a plain copy over Q."""
+        return list(xs)
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -299,6 +305,10 @@ class PrimeField(Field):
 
     def from_int(self, k: int):
         return k % self.p
+
+    def canonical_row(self, xs) -> list:
+        p = self.p
+        return [x % p for x in xs]
 
     def parse(self, text: str):
         if not _INT_RE.match(text):

@@ -7,10 +7,10 @@ share across threads.
 
 `SpanTracker` is the only forward elimination; `rref`, and through it
 `solve` and `kernel_basis`, adds a back pass to its rows, and
-`over_rows` (X * A^-1, so also `inverse`) reads its coordinates.
-`completion_indices` feeds it reversed vectors, so its pivots give a
-basis completion and it gives coordinates in that basis.  `conjugates`
-is the one check of a transform: A*T == T*B and full rank.
+`over_rows` (X * A^-1, so also `inverse`) reads its coordinates.  Fed
+reversed vectors, its pivots give a basis completion
+(`SpanTracker.completion`) and it gives coordinates in that basis.
+`conjugates` is the one check of a transform: A*T == T*B and full rank.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ __all__ = [
 
 
 class Vec:
-    """A column vector over an exact field."""
+    """A column vector over an exact field, its entries made canonical when built."""
 
     __slots__ = ("field", "entries")
 
     def __init__(self, field: Field, entries):
         self.field = field
-        self.entries = list(entries)
+        self.entries = field.canonical_row(entries)
 
     @classmethod
     def zeros(cls, field: Field, n: int) -> "Vec":
@@ -68,9 +68,6 @@ class Vec:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -79,25 +76,15 @@ class Vec:
             return NotImplemented
         return self.field == other.field and self.entries == other.entries
 
-    def _require_compatible(self, other: "Vec") -> None:
+    def __add__(self, other):
+        if not isinstance(other, Vec):
+            return NotImplemented
         if self.field != other.field:
             raise MixedFieldError("vectors over different fields")
         if len(self.entries) != len(other.entries):
             raise DimensionError("vector lengths differ")
-
-    def __add__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        self._require_compatible(other)
         K = self.field
         return Vec(K, [K.add(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        self._require_compatible(other)
-        K = self.field
-        return Vec(K, [K.sub(a, b) for a, b in zip(self.entries, other.entries)])
 
     @property
     def is_zero(self) -> bool:
@@ -109,12 +96,12 @@ class Vec:
 
 
 class Mat:
-    """A dense rows x cols matrix over an exact field."""
+    """A dense rows x cols matrix over an exact field, its entries made canonical when built."""
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: Field, data):
-        rows = [list(r) for r in data]
+        rows = [field.canonical_row(r) for r in data]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
@@ -198,25 +185,6 @@ class Mat:
                 for ra, rb in zip(self.data, other.data)
             ],
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        self._require_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        K = self.field
-        return Mat(
-            K,
-            [
-                [K.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
-    def __neg__(self):
-        K = self.field
-        return Mat(K, [[K.neg(a) for a in row] for row in self.data])
 
     def __mul__(self, other):
         K = self.field
@@ -382,11 +350,11 @@ class SpanTracker:
 
     Over GF(p) a row is one int packed by the field (`PrimeField.pack`):
     taking c times it off a vector is one big-int multiply-add, and the
-    vector is reduced mod p once, when unpacked.  A vector is packed,
-    and reduced mod p first, at the first row with a non-zero
-    multiplier, so one that meets no row is never packed and is kept as
-    given.  Over Q rows stay lists.  `pivots` and `pivot_rows` read rows
-    back.
+    vector is reduced mod p once, when unpacked.  A vector is packed at
+    the first row with a non-zero multiplier, so one that meets no row
+    is never packed.  Entries must be canonical, as those of `Mat` and
+    `Vec` are.  Over Q rows stay lists.  `pivots` and `pivot_rows` read
+    rows back; `copy` gives a tracker of the same span to grow apart.
     """
 
     __slots__ = ("field", "dim", "slot", "_rows", "steps", "relation")
@@ -407,6 +375,17 @@ class SpanTracker:
     def pivots(self) -> list[int]:
         return [piv for piv, _ in self._rows]
 
+    def copy(self) -> "SpanTracker":
+        """A tracker of the same rows; vectors added to either leave the other as it is."""
+        twin = SpanTracker(self.field, self.dim)
+        twin._rows, twin.steps, twin.relation = list(self._rows), list(self.steps), self.relation
+        return twin
+
+    def completion(self) -> list[int]:
+        """The e_i, ascending, completing the vectors added, if fed reversed, to a basis."""
+        ends = {self.dim - 1 - piv for piv, _ in self._rows}
+        return [i for i in range(self.dim) if i not in ends]
+
     def pivot_rows(self) -> list[tuple[int, list]]:
         """The rows in insertion order as (pivot, fresh list of the entries after it)."""
         if not self.slot:
@@ -425,8 +404,7 @@ class SpanTracker:
             else:
                 return list(entries), []
             b, n, p = self.slot, self.dim, K.p
-            # the slot bound needs residues, and Mat and Vec keep entries as given
-            packed = K.pack([x % p for x in entries], b)
+            packed = K.pack(entries, b)
             w, mask = 8 * b, (1 << 8 * b) - 1
             multipliers, ops = [], 0
             for j, (piv, row) in enumerate(rows[first:], first):
@@ -512,9 +490,11 @@ def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTr
     e_i lies in the span of the inputs and e_0..e_(i-1) exactly when a
     vector of the inputs' span ends at entry i.  A `SpanTracker` fed the
     reversed inputs has its pivots at those entries, so every other
-    index, ascending, is the lexicographically first completion.  The
-    tracker, fed a reversed vector, gives its coordinates over the
-    inputs and, in its residual, over the e_i (`SpanTracker.coordinates`).
+    index, ascending, is the lexicographically first completion
+    (`SpanTracker.completion`).  The tracker, fed a reversed vector,
+    gives its coordinates over the inputs and, in its residual, over
+    the e_i (`SpanTracker.coordinates`).  `rnf` reads a block's
+    completion off the tracker `local_min_poly` reduced its chain with.
     """
     tracker = SpanTracker(field, n)
     for v in vectors:
@@ -522,8 +502,7 @@ def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTr
             raise DimensionError("vector of wrong length")
         if not tracker.try_add(v.entries[::-1]):
             raise ValueError("input vectors are linearly dependent")
-    ends = {n - 1 - p for p in tracker.pivots}
-    return tracker, [i for i in range(n) if i not in ends]
+    return tracker, tracker.completion()
 
 
 def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:

@@ -27,16 +27,18 @@ __all__ = [
 
 @dataclass
 class LocalAnnihilator:
-    """A vector, its minimal polynomial under A, and its Krylov basis.
+    """A vector, its minimal polynomial under A, its Krylov basis and their elimination.
 
     mu is monic and non-constant, mu(A) * vector = 0, and the cached
     Krylov vectors vector, A*vector, ..., A^(deg mu - 1)*vector are
-    linearly independent.
+    linearly independent.  tracker is the `SpanTracker` that reduced
+    them, reversed, and found mu; nothing adds to it afterwards.
     """
 
     vector: Vec
     mu: Poly
     krylov: list[Vec]
+    tracker: SpanTracker
 
 
 def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
@@ -46,7 +48,10 @@ def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
     incrementally reduced copy; at the first dependence
     A^m x = c_0 x + ... + c_{m-1} A^{m-1} x the result is
     X^m - c_{m-1} X^{m-1} - ... - c_0, with the c_i read off the same
-    elimination.
+    elimination.  The vectors are fed reversed, so rows are reduced by
+    their last entries: the dependence does not depend on the order of
+    the coordinates, and the tracker returned with the chain also gives
+    its basis completion and coordinates (`rnf` splits a block off it).
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -58,11 +63,11 @@ def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
     tracker = SpanTracker(K, a.nrows)
     krylov: list[Vec] = []
     cur = x
-    while tracker.try_add(cur.entries):
+    while tracker.try_add(cur.entries[::-1]):
         krylov.append(cur)
         cur = a * cur
     mu = Poly(K, [K.neg(c) for c in tracker.dependence()] + [K.one])
-    return LocalAnnihilator(vector=x, mu=mu, krylov=krylov)
+    return LocalAnnihilator(vector=x, mu=mu, krylov=krylov, tracker=tracker)
 
 
 def combine_lcm_vector(
@@ -98,10 +103,13 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
     Starts from e_1 and repeatedly absorbs the smallest-index canonical
     basis vector not yet annihilated, so the result is deterministic.
     Each absorption strictly increases the degree.  The scan skips every
-    e_i inside an A-invariant span known to be annihilated: it starts as
-    the candidate's Krylov span and grows by the Krylov chain of each
-    vector tested or absorbed.  A skipped e_i is annihilated anyway, so
-    the escapes found are the ones an exhaustive scan would find.
+    e_i inside a span known to be annihilated, a copy of the candidate's
+    own elimination of its Krylov chain (`LocalAnnihilator.tracker`).
+    Each e_i is reduced against it once, by adding it; an annihilated
+    e_i adds its chain but the last vector, which depends on the others,
+    and one that escapes is annihilated by the lcm.  A skipped e_i is
+    annihilated anyway, so the escapes found are the ones an exhaustive
+    scan would find.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -115,20 +123,18 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
     # so no scan is needed.
     if acc.mu.degree == n:
         return acc
-    known = SpanTracker(K, n)
-    for v in acc.krylov:
-        known.try_add(v.entries)
+    known = acc.tracker.copy()
     for i in range(1, n):
         e = Vec.basis(K, n, i)
-        if known.contains(e.entries):
+        if not known.try_add(e.entries[::-1]):
             continue
         chain = [e, a.col(i)]  # a * e_i is column i of a
         for _ in range(acc.mu.degree - 1):
             chain.append(a * chain[-1])
         image = K.matvec(list(zip(*(w.entries for w in chain))), acc.mu.coeffs)
         if not any(image):
-            for w in chain:
-                if not known.try_add(w.entries):
+            for w in chain[1:-1]:
+                if not known.try_add(w.entries[::-1]):
                     break
             continue
         other = local_min_poly(a, e)
@@ -138,9 +144,9 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
         acc = grown
         if acc.mu.degree == n:
             return acc
-        # combine_lcm_vector may return `other` itself; its chain is added once
-        for v in acc.krylov if acc is other else acc.krylov + other.krylov:
-            known.try_add(v.entries)
+        # e_i is known already; combine_lcm_vector may return `other` itself
+        for v in (acc.krylov if acc is not other else []) + other.krylov[1:]:
+            known.try_add(v.entries[::-1])
     return acc
 
 

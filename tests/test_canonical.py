@@ -25,6 +25,7 @@ from ratform import (
     linalg,
     local_min_poly,
     min_poly,
+    minpoly,
     nilpotent_jnf,
     rank,
     rnf,
@@ -383,27 +384,87 @@ def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
     # 40 blocks; a full conjugation per block took 34,403,426, a
     # matrix-vector product for the first step of each escape candidate
     # took 1,711,849, coupling updates for blocks with no couplings took
-    # 432,649, and an index scan plus an rref per split took 347,291
-    assert K.op_count <= 292_392
+    # 432,649, an index scan plus an rref per split took 347,291, and
+    # eliminating each Krylov chain three times (for its polynomial, for
+    # the escape scan's known span and for the split) took 292,392
+    assert K.op_count <= 270_214
     # one Jordan block, far from cyclic on e_1: adding the chain of an
-    # absorbed candidate to the known span twice took 6,957,257
+    # absorbed candidate to the known span twice took 6,957,257, and
+    # re-eliminating the chains took 6,367,915
     ones = Mat(K, [[1 if j > i else 0 for j in range(n)] for i in range(n)])
     K.reset_op_count()
     assert rnf(ones).factors == [Poly.monomial(K, n)]
-    assert K.op_count <= 6_367_915
+    assert K.op_count <= 5_364_315
     # criterion 8's matrices and a generic n=48, at the counts of one
-    # forward elimination per Krylov chain and a forward-only rank for
-    # the certificate; re-solving the chain and a full rref of T took
-    # 9,520 / 77,430 / 627,158 / 1,087,440.  Pinned exactly: the
+    # forward elimination per Krylov chain, by last entries, and a
+    # forward-only rank for the certificate; re-solving the chain and a
+    # full rref of T took 9,520 / 77,430 / 627,158 / 1,087,440, and
+    # reducing the chain by first entries, then again for the split,
+    # took 5,460 / 43,053 / 342,069 / 590,761.  Pinned exactly: the
     # row-level field kernels count what the scalar calls they replace
     # counted.
     rng = random.Random(20240809)
-    for n, count in ((10, 5_460), (20, 43_053), (40, 342_069), (48, 590_761)):
+    for n, count in ((10, 5_370), (20, 42_527), (40, 340_707), (48, 588_523)):
         K = PrimeField(101)
         a = Mat(K, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
         K.reset_op_count()
         assert len(rnf(a).factors) == 1
         assert K.op_count == count, n
+
+
+def test_each_krylov_chain_is_eliminated_once(monkeypatch):
+    """The elimination that finds a block's polynomial also seeds the escape scan and splits it.
+
+    On scrambled chains whose blocks never escape (e_1 of each quotient
+    realizes its minimal polynomial), every vector of a block's Krylov
+    chain after e_1 reaches `SpanTracker.try_add` once, forward or
+    reversed, while rnf peels the blocks: finding the polynomial,
+    seeding the known span of the escape scan and splitting the block
+    off used to feed it three times.  The certificate's rank of T is
+    not counted; e_1 is left out, as the scan's unit vectors read the
+    same reversed.
+    """
+    fed, blocks, spins, certified = [], [], [], []
+    try_add, peel = linalg.SpanTracker.try_add, canonical.min_poly_vector
+    spin = minpoly.local_min_poly
+    certifying = False
+
+    def feeding(tracker, entries):
+        if not certifying:
+            fed.append(list(entries))
+        return try_add(tracker, entries)
+
+    def peeling(sub):
+        blocks.append(peel(sub))
+        return blocks[-1]
+
+    def spinning(a, x):
+        spins.append(x)
+        return spin(a, x)
+
+    def certifying_rank(t):
+        nonlocal certifying
+        certifying = True
+        certified.append(linalg.pivot_columns(t))
+        certifying = False
+        return certified[-1]
+
+    monkeypatch.setattr(linalg.SpanTracker, "try_add", feeding)
+    monkeypatch.setattr(canonical, "min_poly_vector", peeling)
+    monkeypatch.setattr(minpoly, "local_min_poly", spinning)
+    monkeypatch.setattr(canonical, "pivot_columns", certifying_rank)
+    checked = 0
+    cases = [(PrimeField(101), 12), (PrimeField(101), 3), (Rationals(), 12), (Rationals(), 9)]
+    for K, seed in cases:
+        factors, a = _scrambled_chain(K, random.Random(seed), 14, 4)
+        del fed[:], blocks[:], spins[:]
+        assert rnf(a).factors == factors
+        assert len(spins) == len(blocks) == 4  # no block escapes
+        for ann in blocks:
+            for v in ann.krylov[1:]:
+                assert sum(f in (v.entries, v.entries[::-1]) for f in fed) == 1
+                checked += 1
+    assert checked == 40 and len(certified) == len(cases)
 
 
 def test_eval_poly_vec_starts_horner_at_the_leading_term():
@@ -422,11 +483,12 @@ def test_eval_poly_vec_starts_horner_at_the_leading_term():
     assert eval_poly_vec(Poly.zero(K), a, v) == Vec.zeros(K, 8)
     assert K.op_count == 0
     # distinct eigenvalues make every lcm combination coprime (h = k = 1);
-    # Horner from the zero vector took 14,064
+    # Horner from the zero vector took 14,064, and eliminating each
+    # Krylov chain three times took 13,952
     d = Mat(K, [[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
     K.reset_op_count()
     got = rnf(d)
-    assert K.op_count == 13_952
+    assert K.op_count == 12_811
     digest = hashlib.sha256(format_matrix(got.transform).encode()).hexdigest()
     assert digest == "39d456c11a85e19e88b1063d9aed2b03d63d501f5db7a0f810e952d1d024ebb5"
 

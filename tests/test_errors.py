@@ -1,13 +1,13 @@
 """Defensive checks: they survive `python -O` and say where they fired."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ratform import Mat, Poly, PrimeField, Rationals, Vec, canonical, rnf
 from ratform.errors import InternalInvariantError
-from ratform.minpoly import LocalAnnihilator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratform"
 
@@ -38,8 +38,7 @@ def test_rnf_peel_failure_names_phase_and_block(monkeypatch):
     K = PrimeField(7)
 
     def broken_chain(sub, ann):
-        x = Poly(K, [K.zero, K.one])
-        return LocalAnnihilator(vector=ann.vector, mu=x, krylov=ann.krylov)
+        return replace(ann, mu=Poly(K, [K.zero, K.one]))
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, broken_chain)
     with pytest.raises(InternalInvariantError, match=r"^rnf peel, block 1: .*chain broken"):
@@ -58,7 +57,7 @@ def test_rnf_peel_wraps_min_poly_failures(monkeypatch):
 def test_rnf_couple_failure_names_phase_and_block(monkeypatch):
     K = PrimeField(7)
 
-    def nudged(sub, krylov, result):
+    def nudged(sub, tracker, result):
         keep, coupling, rest = result
         coupling[0][0] = K.add(coupling[0][0], K.one)
         return keep, coupling, rest
@@ -73,7 +72,7 @@ def test_rnf_certify_failure_names_phase_and_block(monkeypatch):
 
     def wrong_basis(sub, ann):
         n = sub.nrows
-        return LocalAnnihilator(ann.vector, ann.mu, [Vec.basis(Q, n, i) for i in range(n)])
+        return replace(ann, krylov=[Vec.basis(Q, n, i) for i in range(n)])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 0, wrong_basis)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 0: A\*T and T\*R"):
@@ -84,7 +83,7 @@ def test_rnf_certify_catches_a_singular_transform(monkeypatch):
     Q = Rationals()
 
     def zero_chain(sub, ann):
-        return LocalAnnihilator(ann.vector, ann.mu, [Vec.zeros(Q, sub.nrows)])
+        return replace(ann, krylov=[Vec.zeros(Q, sub.nrows)])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, zero_chain)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 1: column 1 of T"):

@@ -7,13 +7,13 @@ their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
 copies of themselves, op counts included; `SpanTracker`'s packed GF(p)
 rows are read back through `pivot_rows`, also at the edges of the slot
-width, and a GF(p) entry outside [0, p) is reduced where it is packed.
-`rref` and what reads it (`solve`, `kernel_basis`), and `over_rows` and
-`inverse`, which read `SpanTracker` coordinates, must also equal a
-scalar Gauss-Jordan elimination in value.  The basis completion read
-off the reversed Krylov chain, and the quotient split built on it, must
-equal the scan over e_0, e_1, ... and the Gauss-Jordan solve they
-replace.
+width, and a GF(p) entry outside [0, p) is reduced when its `Mat` or
+`Vec` is built.  `rref` and what reads it (`solve`, `kernel_basis`),
+and `over_rows` and `inverse`, which read `SpanTracker` coordinates,
+must also equal a scalar Gauss-Jordan elimination in value.  The basis
+completion read off the reversed Krylov chain, and the quotient split
+that reads it off the tracker of `local_min_poly`, must equal the scan
+over e_0, e_1, ... and the Gauss-Jordan solve they replace.
 """
 
 import random
@@ -35,6 +35,7 @@ from ratform import (
     inverse,
     kernel_basis,
     local_min_poly,
+    rank,
     rnf,
     rref,
     solve,
@@ -270,6 +271,13 @@ def assert_trackers_agree(K, n, vectors):
     for _, tail in fast.pivot_rows():
         tail.clear()  # rref's back pass edits the tails it is given
     assert fast.pivot_rows() == slow.pivot_rows()
+    rows, steps, relation = fast.pivot_rows(), list(fast.steps), fast.relation
+    twin = fast.copy()
+    assert (twin.pivot_rows(), twin.steps, twin.relation) == (rows, steps, relation)
+    for i in range(n):
+        twin.try_add(Vec.basis(K, n, i).entries)
+    assert twin.rank == n and twin.pivot_rows()[: len(rows)] == rows
+    assert (fast.pivot_rows(), fast.steps, fast.relation) == (rows, steps, relation)
 
 
 # The largest prime below PRIME_BOUND: its slots are wider than 8 bytes at every dim.
@@ -329,6 +337,7 @@ def test_packed_elimination_at_its_edges(p, n, monkeypatch):
 
 
 def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
+    """Shifted entries reach the packed elimination as residues, through Mat and Vec."""
     K = PrimeField(7)
     assert [str(f) for f in rnf(Mat(K, [[-1, 0], [0, 1]])).factors] == ["X^2 + 6"]
     rng = random.Random(410)
@@ -343,13 +352,38 @@ def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
         assert (got.factors, got.transform) == (want.factors, want.transform)
         tracker = SpanTracker(K, n)
         for v in a:
-            tracker.try_add(v)
+            tracker.try_add(Vec(K, v).entries)
         for r, v in zip(shifted, a):
+            r = Vec(K, r).entries
             if any(r[q] for q in tracker.pivots):  # r meets a row, so it is packed
                 packed += 1
                 assert tracker.coordinates(r) == tracker.coordinates(v)
                 assert tracker.contains(r) and tracker.contains(v)
     assert packed >= 60 and negative and at_least_p
+
+
+def test_gf_mat_and_vec_reduce_their_entries_when_built():
+    K = PrimeField(7)
+    # a multiple of p that meets no row was taken for a non-zero pivot, and K.inv failed
+    assert rank(Mat(K, [[7], [1]])) == 1
+    assert rank(Mat(K, [[14, -7], [0, 21]])) == 0
+    assert Mat(K, [[-1, 8], [7, -13]]) == Mat(K, [[6, 1], [0, 1]])
+    assert Mat(K, [[-1, 8], [7, -13]]).data == [[6, 1], [0, 1]]
+    assert Vec(K, [-6, 15, 7]) == Vec(K, [1, 1, 0])
+    assert Mat(K, [[7, -14], [21, 0]]).is_zero and Vec(K, [7, -7, 70]).is_zero
+    assert not Vec(K, [7, 8]).is_zero
+    a = Mat(K, [[1, 2, 0], [0, 3, 1], [5, 0, 4]])
+    for shifted, residues in (([7, 1, -7], [0, 1, 0]), ([-13, 14, 9], [1, 0, 2])):
+        got, want = local_min_poly(a, Vec(K, shifted)), local_min_poly(a, Vec(K, residues))
+        assert (got.vector, got.mu, got.krylov) == (want.vector, want.mu, want.krylov)
+        assert got.tracker.pivot_rows() == want.tracker.pivot_rows()
+    with pytest.raises(ValueError, match="zero vector"):
+        local_min_poly(a, Vec(K, [7, -14, 0]))
+    # over Q the entries are a plain copy
+    Q = Rationals()
+    entries = [Fraction(1, 3), Fraction(-2)]
+    v = Vec(Q, entries)
+    assert v.entries == entries and v.entries is not entries
 
 
 def gj_inverse(K, a):
@@ -547,14 +581,19 @@ def split_quotient_ref(sub, krylov):
 @pytest.mark.parametrize("K", FIELDS, ids=IDS)
 def test_split_quotient_equals_the_scan_and_solve_it_replaces(K, monkeypatch):
     rng = random.Random(408)
-    calls = []
-    split = canonical._split_quotient
+    calls, blocks = [], []
+    split, peel = canonical._split_quotient, canonical.min_poly_vector
 
-    def recording(sub, krylov):
-        calls.append((sub, krylov))
-        return split(sub, krylov)
+    def recording(sub, tracker):
+        calls.append((sub, tracker))
+        return split(sub, tracker)
+
+    def peeling(sub):
+        blocks.append(peel(sub))
+        return blocks[-1]
 
     monkeypatch.setattr(canonical, "_split_quotient", recording)
+    monkeypatch.setattr(canonical, "min_poly_vector", peeling)
     two = Mat(K, [[K.from_int(2) if i == j else K.zero for j in range(6)] for i in range(6)])
     inputs = [two]
     for _ in range(6):
@@ -567,7 +606,8 @@ def test_split_quotient_equals_the_scan_and_solve_it_replaces(K, monkeypatch):
     for a in inputs:
         rnf(a)
     monkeypatch.undo()
-    assert len(calls) >= 12
-    for sub, krylov in calls:
-        keep, coupling, rest = split(sub, krylov)
-        assert (keep, coupling, rest) == split_quotient_ref(sub, krylov)
+    assert len(calls) == len(blocks) >= 12
+    for (sub, tracker), ann in zip(calls, blocks):
+        assert tracker is ann.tracker  # the block's own elimination, not a new one
+        keep, coupling, rest = split(sub, tracker)
+        assert (keep, coupling, rest) == split_quotient_ref(sub, ann.krylov)
