@@ -8,7 +8,7 @@ results are exact over the rationals and over GF(p) alike.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class RnfResult:
+class RnfResult(NamedTuple):
     """Invariant factors with the change of basis that exhibits them.
 
     factors[0] is the minimal polynomial; each later factor divides the
@@ -54,8 +53,7 @@ class RnfResult:
     transform: Mat
 
 
-@dataclass
-class JnfResult:
+class JnfResult(NamedTuple):
     """Jordan data of a nilpotent matrix.
 
     partition lists the Jordan block sizes in descending order; jnf is
@@ -160,10 +158,19 @@ def _times_form(cols: list[list], factors: list[Poly]) -> list[list]:
 
 
 def _certify(a: Mat, cols: list[list], factors: list[Poly], offsets: list[int]) -> Mat:
-    """T from its columns, checked once: A*T == T*R and rank(T) == n."""
+    """T from its columns, checked once: A*T == T*R and rank(T) == n.
+
+    A times a column of T that is a unit vector e_s is column s of A,
+    read off with no arithmetic.
+    """
     n, K = a.nrows, a.field
     for c, (col, rhs) in enumerate(zip(cols, _times_form(cols, factors))):
-        if K.matvec(a.data, col) != rhs:
+        if col.count(K.zero) == n - 1 and K.one in col:
+            s = col.index(K.one)
+            image = [row[s] for row in a.data]
+        else:
+            image = K.matvec(a.data, col)
+        if image != rhs:
             block = bisect_right(offsets, c) - 1
             raise _fail("certify", block, f"A*T and T*R differ in column {c}")
     t = Mat.from_cols(a.field, cols, n)

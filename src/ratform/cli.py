@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Callable, NamedTuple
 
@@ -132,6 +131,8 @@ def _text(key: str, value) -> str:
 
 def _emit(field: Field, sections: list, as_json: bool) -> None:
     if as_json:
+        import json  # imported here so that a run without --json never loads it
+
         print(json.dumps({"field": field.describe(), **{k: _json_value(v) for k, v in sections}}))
     else:
         print("".join(_text(key, value) for key, value in sections), end="")

@@ -147,14 +147,6 @@ class Mat:
     def col(self, j: int) -> Vec:
         return Vec(self.field, [self.data[i][j] for i in range(self.nrows)])
 
-    def block(self, r0: int, c0: int, nrows: int, ncols: int) -> "Mat":
-        return Mat(
-            self.field, [self.data[r0 + i][c0 : c0 + ncols] for i in range(nrows)]
-        )
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, [list(col) for col in zip(*self.data)] if self.data else [])
-
     def _require_same_field(self, other) -> None:
         if self.field != other.field:
             raise MixedFieldError("operands over different fields")
@@ -425,9 +417,6 @@ class SpanTracker:
             v[piv + 1 :] = K.sub_scaled(v[piv + 1 :], c, tail)
             multipliers.append((j, c))
         return v, multipliers
-
-    def contains(self, entries) -> bool:
-        return not any(self._reduce(entries)[0])
 
     def try_add(self, entries) -> bool:
         """Add the vector if it enlarges the span; report whether it did."""

@@ -10,7 +10,7 @@ polynomial of the whole matrix -- no factoring, no eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionError, InternalInvariantError
 from .linalg import Mat, SpanTracker, Vec, eval_poly_vec
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class LocalAnnihilator:
+class LocalAnnihilator(NamedTuple):
     """A vector, its minimal polynomial under A, its Krylov basis and their elimination.
 
     mu is monic and non-constant, mu(A) * vector = 0, and the cached

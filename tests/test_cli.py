@@ -249,3 +249,31 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert run.returncode == 1
     assert run.stdout.strip() == "not similar"
+
+
+COLD_START = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import ratform.cli
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+sys.exit(ratform.cli.main(sys.argv[2:]))
+"""
+
+
+def test_cold_start_imports_neither_dataclasses_nor_json(diag12):
+    """A fresh interpreter's `import ratform.cli` loads no module that only
+    a few result records or --json need; --json still prints one document."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", COLD_START, src, "rnf", "--json", diag12],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stderr.split())
+    assert "ratform.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+    doc = json.loads(run.stdout)
+    assert doc["field"] == "rational" and doc["factors"] == [["2", "-3", "1"]]
+    assert RnfResult._fields == ("factors", "rnf", "transform")

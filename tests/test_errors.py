@@ -1,7 +1,6 @@
 """Defensive checks: they survive `python -O` and say where they fired."""
 
 import ast
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +37,7 @@ def test_rnf_peel_failure_names_phase_and_block(monkeypatch):
     K = PrimeField(7)
 
     def broken_chain(sub, ann):
-        return replace(ann, mu=Poly(K, [K.zero, K.one]))
+        return ann._replace(mu=Poly(K, [K.zero, K.one]))
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, broken_chain)
     with pytest.raises(InternalInvariantError, match=r"^rnf peel, block 1: .*chain broken"):
@@ -72,7 +71,7 @@ def test_rnf_certify_failure_names_phase_and_block(monkeypatch):
 
     def wrong_basis(sub, ann):
         n = sub.nrows
-        return replace(ann, krylov=[Vec.basis(Q, n, i) for i in range(n)])
+        return ann._replace(krylov=[Vec.basis(Q, n, i) for i in range(n)])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 0, wrong_basis)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 0: A\*T and T\*R"):
@@ -83,7 +82,7 @@ def test_rnf_certify_catches_a_singular_transform(monkeypatch):
     Q = Rationals()
 
     def zero_chain(sub, ann):
-        return replace(ann, krylov=[Vec.zeros(Q, sub.nrows)])
+        return ann._replace(krylov=[Vec.zeros(Q, sub.nrows)])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, zero_chain)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 1: column 1 of T"):

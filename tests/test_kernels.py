@@ -264,7 +264,6 @@ def assert_trackers_agree(K, n, vectors):
         assert counted(K, fast.try_add, v) == counted(K, slow.try_add, v)
         assert (fast.pivot_rows(), fast.steps) == (slow.pivot_rows(), slow.steps)
         assert fast.pivots == slow.pivots == [piv for piv, _ in slow.pivot_rows()]
-        assert counted(K, fast.contains, v) == counted(K, slow.contains, v)
         assert counted(K, fast.coordinates, v) == counted(K, slow.coordinates, v)
         if fast.relation is not None:
             assert counted(K, fast.dependence) == counted(K, slow.dependence)
@@ -358,7 +357,7 @@ def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
             if any(r[q] for q in tracker.pivots):  # r meets a row, so it is packed
                 packed += 1
                 assert tracker.coordinates(r) == tracker.coordinates(v)
-                assert tracker.contains(r) and tracker.contains(v)
+                assert not any(tracker.coordinates(v)[1])
     assert packed >= 60 and negative and at_least_p
 
 
@@ -466,7 +465,7 @@ def test_rref_and_its_readers_equal_gauss_jordan(K):
     assert len(systems) >= 8
     for a in systems:
         d = a.nrows
-        assert a.ncols > d and gj_inverse(K, a.block(0, 0, d, d)) is not None
+        assert a.ncols > d and gj_inverse(K, Mat(K, [r[:d] for r in a.data])) is not None
     for a in differential_inputs(K, rng) + systems:
         m, pivots = rref_ref(K, a)
         reduced = rref(a)
