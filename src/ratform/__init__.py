@@ -49,7 +49,7 @@ from .minpoly import (
     min_poly,
     min_poly_vector,
 )
-from .poly import Poly, poly_gcd, poly_lcm, poly_pow_mod, split_gcd
+from .poly import Poly, poly_gcd, poly_lcm, split_gcd
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "Poly",
     "poly_gcd",
     "poly_lcm",
-    "poly_pow_mod",
     "split_gcd",
     "Mat",
     "Vec",

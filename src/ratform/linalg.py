@@ -32,7 +32,6 @@ __all__ = [
     "inverse",
     "kernel_basis",
     "solve",
-    "completion_indices",
     "complete_to_basis",
     "companion",
     "block_diag",
@@ -162,21 +161,6 @@ class Mat:
         )
 
     # -- arithmetic --
-
-    def __add__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        self._require_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        K = self.field
-        return Mat(
-            K,
-            [
-                [K.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
 
     def __mul__(self, other):
         K = self.field
@@ -473,17 +457,15 @@ class SpanTracker:
         return y
 
 
-def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTracker, list[int]]:
-    """The inputs reduced by their last entries, and the e_i completing them to a basis.
+def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
+    """The inputs followed by the e_i completing them to a basis, as columns.
 
     e_i lies in the span of the inputs and e_0..e_(i-1) exactly when a
     vector of the inputs' span ends at entry i.  A `SpanTracker` fed the
     reversed inputs has its pivots at those entries, so every other
     index, ascending, is the lexicographically first completion
-    (`SpanTracker.completion`).  The tracker, fed a reversed vector,
-    gives its coordinates over the inputs and, in its residual, over
-    the e_i (`SpanTracker.coordinates`).  `rnf` reads a block's
-    completion off the tracker `local_min_poly` reduced its chain with.
+    (`SpanTracker.completion`).  `rnf` reads a block's completion off
+    the tracker `local_min_poly` reduced its chain with.
     """
     tracker = SpanTracker(field, n)
     for v in vectors:
@@ -491,13 +473,7 @@ def completion_indices(field: Field, vectors: list[Vec], n: int) -> tuple[SpanTr
             raise DimensionError("vector of wrong length")
         if not tracker.try_add(v.entries[::-1]):
             raise ValueError("input vectors are linearly dependent")
-    return tracker, tracker.completion()
-
-
-def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
-    """The inputs followed by the e_i of `completion_indices`, as columns."""
-    _, keep = completion_indices(field, vectors, n)
-    extra = [Vec.basis(field, n, i) for i in keep]
+    extra = [Vec.basis(field, n, i) for i in tracker.completion()]
     return Mat.from_cols(field, list(vectors) + extra, n)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalInvariantError
-from .linalg import Mat, SpanTracker, Vec, eval_poly_vec
+from .linalg import Mat, SpanTracker, Vec
 from .poly import Poly, poly_lcm, split_gcd
 
 __all__ = [
@@ -77,9 +77,11 @@ def combine_lcm_vector(
     If one minimal polynomial divides the other, the dominating input is
     returned unchanged.  Otherwise gcd splitting gives G = h*k and the
     combination h(A)x + k(A)y realizes the lcm; for coprime inputs
-    h = k = 1 and this is the sum x + y.  The result is recomputed from
-    scratch and checked against lcm(P, Q); a mismatch means a bug, never
-    bad input.
+    h = k = 1 and this is the sum x + y.  G is a proper divisor of both,
+    so deg h < deg P and deg k < deg Q: the combination is read off the
+    cached Krylov vectors, with no matrix-vector product.  The result is
+    recomputed from scratch and checked against lcm(P, Q); a mismatch
+    means a bug, never bad input.
     """
     p, q = lx.mu, ly.mu
     if p.divides(q):
@@ -87,7 +89,9 @@ def combine_lcm_vector(
     if q.divides(p):
         return lx
     h, k, _, _ = split_gcd(p, q)
-    z = eval_poly_vec(h, a, lx.vector) + eval_poly_vec(k, a, ly.vector)
+    cols = lx.krylov[: len(h.coeffs)] + ly.krylov[: len(k.coeffs)]
+    K = a.field
+    z = Vec(K, K.matvec(list(zip(*(w.entries for w in cols))), h.coeffs + k.coeffs))
     combined = local_min_poly(a, z)
     if combined.mu != poly_lcm(p, q):
         raise InternalInvariantError(

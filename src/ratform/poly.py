@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError, MixedFieldError
 from .field import Field
 
-__all__ = ["Poly", "poly_gcd", "poly_lcm", "poly_pow_mod", "split_gcd"]
+__all__ = ["Poly", "poly_gcd", "poly_lcm", "split_gcd"]
 
 NEG_INF = float("-inf")
 
@@ -111,10 +111,6 @@ class Poly:
             out.append(K.sub(x, y))
         return Poly(K, out)
 
-    def __neg__(self):
-        K = self.field
-        return Poly(K, [K.neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -152,9 +148,6 @@ class Poly:
             quot[i - d] = q
             rem[i - d : i + 1] = K.sub_scaled(rem[i - d : i + 1], q, other.coeffs)
         return Poly(K, quot), Poly(K, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -224,24 +217,6 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
     return quot.monic()
 
 
-def poly_pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
-    """base**exponent reduced mod modulus, by square-and-multiply."""
-    if modulus.is_zero:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    K = base.field
-    result = Poly.one(K) % modulus
-    acc = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
-        e >>= 1
-    return result
-
-
 def split_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly, Poly]:
     """Split G = gcd(p, q) into G = h*k so that lcm(p, q) factors coprimely.
 
@@ -267,7 +242,12 @@ def split_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly, Poly]:
     q_red, q_rem = divmod(q, g)
     if not (p_rem.is_zero and q_rem.is_zero):
         raise InternalInvariantError("gcd does not divide both arguments")
-    power = poly_pow_mod(q_red, g.degree, g)
+    power, base, e = Poly.one(g.field) % g, q_red % g, g.degree
+    while e:  # power = q_red**deg(g) mod g, by square-and-multiply
+        if e & 1:
+            power = (power * base) % g
+        base = (base * base) % g
+        e >>= 1
     h = poly_gcd(g, power)
     k, k_rem = divmod(g, h)
     if not k_rem.is_zero:

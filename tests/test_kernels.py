@@ -42,7 +42,7 @@ from ratform import (
 )
 from ratform.errors import DimensionError, SingularMatrixError
 from ratform.field import PRIME_BOUND, _is_prime
-from ratform.linalg import SpanTracker, completion_indices, over_rows, pivot_columns
+from ratform.linalg import SpanTracker, over_rows, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
 IDS = ["GF7", "GF1e9+7", "Q"]
@@ -505,6 +505,14 @@ def independent(K, n, candidates):
     return [v for v in candidates if tracker.try_add(v.entries)]
 
 
+def reversed_tracker(K, vectors, n):
+    """The inputs reduced by their last entries, as `rnf` reduces a chain, and its completion."""
+    tracker = SpanTracker(K, n)
+    for v in vectors:
+        assert tracker.try_add(v.entries[::-1])
+    return tracker, tracker.completion()
+
+
 def completion_families(K, rng):
     """(vectors, n): empty, full-rank, unit vectors, Krylov chains, shared last entries."""
     out = [([], 0), ([], 1), ([], rng.randint(2, 7))]
@@ -534,7 +542,7 @@ def completion_families(K, rng):
 def test_completion_by_last_entries_equals_the_index_scan(K):
     rng = random.Random(406)
     for vectors, n in completion_families(K, rng):
-        tracker, keep = completion_indices(K, vectors, n)
+        tracker, keep = reversed_tracker(K, vectors, n)
         expected = completion_scan(K, vectors, n)
         assert keep == expected
         assert tracker.rank == len(vectors) == n - len(keep)
@@ -546,7 +554,7 @@ def test_completion_by_last_entries_equals_the_index_scan(K):
 def test_coordinates_rebuild_the_vector(K):
     rng = random.Random(407)
     for vectors, n in completion_families(K, rng):
-        tracker, keep = completion_indices(K, vectors, n)
+        tracker, keep = reversed_tracker(K, vectors, n)
         inside = [K.from_int(rng.randint(-3, 3)) for _ in vectors]
         in_span = [dot_ref(K, [v.entries[i] for v in vectors], inside) for i in range(n)]
         for y in (row(K, rng, n), in_span, *(Vec.basis(K, n, i).entries for i in range(n))):

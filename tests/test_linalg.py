@@ -42,8 +42,6 @@ def test_shape_and_field_mismatches():
         a * Mat.from_ints(K, [[1, 2, 3]])
     with pytest.raises(MixedFieldError):
         a * Mat.from_ints(G, [[1, 2], [3, 4]])
-    with pytest.raises(MixedFieldError):
-        a + Mat.from_ints(G, [[1, 2], [3, 4]])
 
 
 def test_rref_examples():
