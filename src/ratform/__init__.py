@@ -28,7 +28,6 @@ from .errors import (
 from .field import Field, PrimeField, Rationals
 from .linalg import (
     Mat,
-    Vec,
     block_diag,
     char_poly_oracle,
     companion,
@@ -62,7 +61,6 @@ __all__ = [
     "poly_lcm",
     "split_gcd",
     "Mat",
-    "Vec",
     "rref",
     "rank",
     "inverse",

@@ -89,7 +89,7 @@ def _split_quotient(sub: Mat, tracker: SpanTracker) -> tuple[list[int], list[lis
     """
     m = sub.nrows
     keep = tracker.completion()
-    parts = [tracker.coordinates(sub.col(s).entries[::-1]) for s in keep]
+    parts = [tracker.coordinates(sub.col(s)[::-1]) for s in keep]
     coupling = [[x[k] for x, _ in parts] for k in range(tracker.rank)]
     rest = [[r[m - 1 - t] for _, r in parts] for t in keep]
     return keep, coupling, Mat(sub.field, rest)
@@ -228,10 +228,10 @@ def rnf(a: Mat) -> RnfResult:
             raise _fail("peel", j, str(exc)) from exc
         for row in upper[:off]:
             tail = row[off:]
-            row[off:] = K.matvec([v.entries for v in ann.krylov], tail) + [tail[s] for s in keep]
+            row[off:] = K.matvec(ann.krylov, tail) + [tail[s] for s in keep]
         for v in ann.krylov:
             col = [K.zero] * n
-            for s, x in zip(basis, v.entries):
+            for s, x in zip(basis, v):
                 col[s] = x
             cols.append(col)
         basis = [basis[s] for s in keep]

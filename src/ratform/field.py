@@ -9,8 +9,9 @@ scales polynomially.
 
 Because the representations are canonical, `==` on scalar values is
 exact mathematical equality and zero is the only falsy value.  `Mat`
-and `Vec` put their entries through `canonical_row` when built, so an
-int outside [0, p) given to them is reduced mod p there, once.
+puts its entries through `canonical_row` when built, and so do
+`local_min_poly` and `complete_to_basis` with a caller's vector, so an
+int outside [0, p) is reduced mod p where it enters, once.
 
 A field also owns the format of the rows `SpanTracker` stores: lists
 over Q, and over GF(p) one int per row with an entry in each fixed-width
@@ -185,7 +186,7 @@ class Rationals(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         self.op_count += 1
-        return 1 / a
+        return self.one / a
 
     def matvec(self, rows, v):
         n = len(v)

@@ -1,9 +1,11 @@
-"""Dense exact matrices and vectors with one Gaussian elimination.
+"""Dense exact matrices, and vectors as lists, with one Gaussian elimination.
 
-Vectors are columns: ``A * v`` applies A on the left, so ``A * e_j``
-reads off column j.  All operations return new objects; elimination
-routines mutate only private working copies, so values are safe to
-share across threads.
+A vector is a plain list of canonical scalars, read as a column:
+``A * v`` applies A on the left, so ``A * e_j`` reads off column j.
+A caller's vector is reduced where it reaches the elimination
+(`local_min_poly`, `complete_to_basis`).  All operations return new
+objects; elimination routines mutate only private working copies, so
+values are safe to share across threads.
 
 `SpanTracker` is the only forward elimination; `rref`, and through it
 `solve` and `kernel_basis`, adds a back pass to its rows, and
@@ -22,7 +24,6 @@ from .field import Field
 from .poly import Poly
 
 __all__ = [
-    "Vec",
     "Mat",
     "Rref",
     "SpanTracker",
@@ -39,59 +40,6 @@ __all__ = [
     "eval_poly_vec",
     "char_poly_oracle",
 ]
-
-
-class Vec:
-    """A column vector over an exact field, its entries made canonical when built."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field: Field, entries):
-        self.field = field
-        self.entries = field.canonical_row(entries)
-
-    @classmethod
-    def zeros(cls, field: Field, n: int) -> "Vec":
-        return cls(field, [field.zero] * n)
-
-    @classmethod
-    def basis(cls, field: Field, n: int, i: int) -> "Vec":
-        e = [field.zero] * n
-        e[i] = field.one
-        return cls(field, e)
-
-    @classmethod
-    def from_ints(cls, field: Field, ints) -> "Vec":
-        return cls(field, [field.from_int(k) for k in ints])
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
-
-    def __add__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        if self.field != other.field:
-            raise MixedFieldError("vectors over different fields")
-        if len(self.entries) != len(other.entries):
-            raise DimensionError("vector lengths differ")
-        K = self.field
-        return Vec(K, [K.add(a, b) for a, b in zip(self.entries, other.entries)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __repr__(self):
-        K = self.field
-        return "Vec[" + " ".join(K.format(a) for a in self.entries) + "]"
 
 
 class Mat:
@@ -130,10 +78,9 @@ class Mat:
     def from_cols(cls, field: Field, cols, nrows: int) -> "Mat":
         data = [[field.zero] * len(cols) for _ in range(nrows)]
         for j, col in enumerate(cols):
-            entries = col.entries if isinstance(col, Vec) else list(col)
-            if len(entries) != nrows:
+            if len(col) != nrows:
                 raise DimensionError("column of wrong length")
-            for i, a in enumerate(entries):
+            for i, a in enumerate(col):
                 data[i][j] = a
         return cls(field, data)
 
@@ -143,8 +90,8 @@ class Mat:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def col(self, j: int) -> Vec:
-        return Vec(self.field, [self.data[i][j] for i in range(self.nrows)])
+    def col(self, j: int) -> list:
+        return [row[j] for row in self.data]
 
     def _require_same_field(self, other) -> None:
         if self.field != other.field:
@@ -173,12 +120,9 @@ class Mat:
                 )
             bcols = list(zip(*other.data))
             return Mat(K, [K.matvec(bcols, row) for row in self.data])
-        if isinstance(other, Vec):
-            self._require_same_field(other)
-            if self.ncols != len(other.entries):
-                raise DimensionError("matrix-vector size mismatch")
-            return Vec(K, K.matvec(self.data, other.entries))
-        return NotImplemented
+        if self.ncols != len(other):
+            raise DimensionError("matrix-vector size mismatch")
+        return K.matvec(self.data, other)
 
     @property
     def is_zero(self) -> bool:
@@ -276,7 +220,7 @@ def conjugates(a: Mat, t: Mat, b: Mat) -> bool:
     return a * t == t * b and rank(t) == a.nrows
 
 
-def kernel_basis(a: Mat) -> list[Vec]:
+def kernel_basis(a: Mat) -> list[list]:
     """Exact basis of the null space; empty iff the matrix is injective."""
     K = a.field
     reduced, pivots, _ = rref(a)
@@ -289,27 +233,27 @@ def kernel_basis(a: Mat) -> list[Vec]:
         v[c] = K.one
         for r, pc in enumerate(pivots):
             v[pc] = K.neg(reduced.data[r][c])
-        basis.append(Vec(K, v))
+        basis.append(v)
     return basis
 
 
-def solve(a: Mat, b: Vec):
+def solve(a: Mat, b: list):
     """One exact solution of A x = b, or None if the system is inconsistent.
 
     Free variables are set to zero, so the particular solution is
     deterministic.
     """
-    if len(b.entries) != a.nrows:
+    if len(b) != a.nrows:
         raise DimensionError("right-hand side has wrong length")
     K = a.field
-    aug = Mat(K, [row + [b.entries[i]] for i, row in enumerate(a.data)])
+    aug = Mat(K, [row + [b[i]] for i, row in enumerate(a.data)])
     reduced, pivots, _ = rref(aug)
     if pivots and pivots[-1] == a.ncols:
         return None
     x = [K.zero] * a.ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced.data[r][a.ncols]
-    return Vec(K, x)
+    return x
 
 
 class SpanTracker:
@@ -328,9 +272,9 @@ class SpanTracker:
     taking c times it off a vector is one big-int multiply-add, and the
     vector is reduced mod p once, when unpacked.  A vector is packed at
     the first row with a non-zero multiplier, so one that meets no row
-    is never packed.  Entries must be canonical, as those of `Mat` and
-    `Vec` are.  Over Q rows stay lists.  `pivots` and `pivot_rows` read
-    rows back; `copy` gives a tracker of the same span to grow apart.
+    is never packed.  Entries must be canonical, as the library's
+    vectors are.  Over Q rows stay lists.  `pivots` and `pivot_rows`
+    read rows back; `copy` gives a tracker of the same span to grow apart.
     """
 
     __slots__ = ("field", "dim", "slot", "_rows", "steps", "relation")
@@ -457,7 +401,7 @@ class SpanTracker:
         return y
 
 
-def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
+def complete_to_basis(field: Field, vectors: list[list], n: int) -> Mat:
     """The inputs followed by the e_i completing them to a basis, as columns.
 
     e_i lies in the span of the inputs and e_0..e_(i-1) exactly when a
@@ -468,13 +412,14 @@ def complete_to_basis(field: Field, vectors: list[Vec], n: int) -> Mat:
     the tracker `local_min_poly` reduced its chain with.
     """
     tracker = SpanTracker(field, n)
+    vectors = [field.canonical_row(v) for v in vectors]
     for v in vectors:
-        if len(v.entries) != n:
+        if len(v) != n:
             raise DimensionError("vector of wrong length")
-        if not tracker.try_add(v.entries[::-1]):
+        if not tracker.try_add(v[::-1]):
             raise ValueError("input vectors are linearly dependent")
-    extra = [Vec.basis(field, n, i) for i in tracker.completion()]
-    return Mat.from_cols(field, list(vectors) + extra, n)
+    extra = [[field.one if k == i else field.zero for k in range(n)] for i in tracker.completion()]
+    return Mat.from_cols(field, vectors + extra, n)
 
 
 def companion(p: Poly) -> Mat:
@@ -545,21 +490,21 @@ def eval_poly(p: Poly, a: Mat) -> Mat:
     return result
 
 
-def eval_poly_vec(p: Poly, a: Mat, v: Vec) -> Vec:
+def eval_poly_vec(p: Poly, a: Mat, v: list) -> list:
     """p(A) * v without forming p(A): Horner with matrix-vector products."""
     _require_square(a)
-    if p.field != a.field or v.field != a.field:
-        raise MixedFieldError("operands over different fields")
-    if len(v.entries) != a.nrows:
+    if p.field != a.field:
+        raise MixedFieldError("polynomial and matrix over different fields")
+    if len(v) != a.nrows:
         raise DimensionError("vector length does not match matrix size")
     K = a.field
     if p.is_zero:
-        return Vec.zeros(K, a.nrows)
-    w = Vec(K, K.scale(p.coeffs[-1], v.entries))
+        return [K.zero] * a.nrows
+    w = K.scale(p.coeffs[-1], v)
     for c in reversed(p.coeffs[:-1]):
         w = a * w
         if c:
-            w = Vec(K, [K.add(x, K.mul(c, y)) for x, y in zip(w.entries, v.entries)])
+            w = [K.add(x, K.mul(c, y)) for x, y in zip(w, v)]
     return w
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalInvariantError
-from .linalg import Mat, SpanTracker, Vec
+from .linalg import Mat, SpanTracker
 from .poly import Poly, poly_lcm, split_gcd
 
 __all__ = [
@@ -31,16 +31,17 @@ class LocalAnnihilator(NamedTuple):
     mu is monic and non-constant, mu(A) * vector = 0, and the cached
     Krylov vectors vector, A*vector, ..., A^(deg mu - 1)*vector are
     linearly independent.  tracker is the `SpanTracker` that reduced
-    them, reversed, and found mu; nothing adds to it afterwards.
+    them, reversed, and found mu; nothing adds to it afterwards.  The
+    vectors are lists of canonical scalars.
     """
 
-    vector: Vec
+    vector: list
     mu: Poly
-    krylov: list[Vec]
+    krylov: list[list]
     tracker: SpanTracker
 
 
-def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
+def local_min_poly(a: Mat, x: list) -> LocalAnnihilator:
     """Minimal polynomial of the vector x under the matrix a.
 
     Grows the Krylov sequence one vector at a time against an
@@ -51,18 +52,20 @@ def local_min_poly(a: Mat, x: Vec) -> LocalAnnihilator:
     their last entries: the dependence does not depend on the order of
     the coordinates, and the tracker returned with the chain also gives
     its basis completion and coordinates (`rnf` splits a block off it).
+    x is reduced to canonical scalars first, once.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
-    if len(x.entries) != a.nrows:
+    if len(x) != a.nrows:
         raise DimensionError("vector length does not match matrix size")
-    if x.is_zero:
-        raise ValueError("zero vector has no minimal polynomial")
     K = a.field
+    x = K.canonical_row(x)
+    if not any(x):
+        raise ValueError("zero vector has no minimal polynomial")
     tracker = SpanTracker(K, a.nrows)
-    krylov: list[Vec] = []
+    krylov: list[list] = []
     cur = x
-    while tracker.try_add(cur.entries[::-1]):
+    while tracker.try_add(cur[::-1]):
         krylov.append(cur)
         cur = a * cur
     mu = Poly(K, [K.neg(c) for c in tracker.dependence()] + [K.one])
@@ -91,8 +94,7 @@ def combine_lcm_vector(
     h, k, _, _ = split_gcd(p, q)
     cols = lx.krylov[: len(h.coeffs)] + ly.krylov[: len(k.coeffs)]
     K = a.field
-    z = Vec(K, K.matvec(list(zip(*(w.entries for w in cols))), h.coeffs + k.coeffs))
-    combined = local_min_poly(a, z)
+    combined = local_min_poly(a, K.matvec(list(zip(*cols)), h.coeffs + k.coeffs))
     if combined.mu != poly_lcm(p, q):
         raise InternalInvariantError(
             "combined vector's minimal polynomial is not the lcm"
@@ -120,7 +122,7 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
     if n == 0:
         raise ValueError("empty matrix has no minimal polynomial")
     K = a.field
-    acc = local_min_poly(a, Vec.basis(K, n, 0))
+    acc = local_min_poly(a, [K.one] + [K.zero] * (n - 1))
     # A full Krylov chain means the candidate already annihilates A (it
     # divides the degree-n characteristic polynomial and has degree n),
     # so no scan is needed.
@@ -128,16 +130,17 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
         return acc
     known = acc.tracker.copy()
     for i in range(1, n):
-        e = Vec.basis(K, n, i)
-        if not known.try_add(e.entries[::-1]):
+        e = [K.zero] * n
+        e[i] = K.one
+        if not known.try_add(e[::-1]):
             continue
         chain = [e, a.col(i)]  # a * e_i is column i of a
         for _ in range(acc.mu.degree - 1):
             chain.append(a * chain[-1])
-        image = K.matvec(list(zip(*(w.entries for w in chain))), acc.mu.coeffs)
+        image = K.matvec(list(zip(*chain)), acc.mu.coeffs)
         if not any(image):
             for w in chain[1:-1]:
-                if not known.try_add(w.entries[::-1]):
+                if not known.try_add(w[::-1]):
                     break
             continue
         other = local_min_poly(a, e)
@@ -149,7 +152,7 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
             return acc
         # e_i is known already; combine_lcm_vector may return `other` itself
         for v in (acc.krylov if acc is not other else []) + other.krylov[1:]:
-            known.try_add(v.entries[::-1])
+            known.try_add(v[::-1])
     return acc
 
 

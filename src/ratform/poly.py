@@ -20,7 +20,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        cs = list(coeffs)
+        cs = field.canonical_row(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.field = field

@@ -8,7 +8,7 @@ need structural variety, not large coefficients).
 import random
 from fractions import Fraction
 
-from ratform import Mat, Poly, PrimeField, Rationals, Vec, inverse, poly_gcd
+from ratform import Mat, Poly, PrimeField, Rationals, inverse, poly_gcd
 from ratform.errors import SingularMatrixError
 
 
@@ -25,9 +25,14 @@ def rand_matrix(K, rng, nrows, ncols=None, lo=-3, hi=3):
 
 def rand_vector(K, rng, n, nonzero=False):
     while True:
-        v = Vec(K, [rand_scalar(K, rng) for _ in range(n)])
-        if not nonzero or not v.is_zero:
+        v = [rand_scalar(K, rng) for _ in range(n)]
+        if not nonzero or any(v):
             return v
+
+
+def unit(K, n, i):
+    """e_i of length n, as the list of scalars a vector is."""
+    return [K.one if k == i else K.zero for k in range(n)]
 
 
 def rand_invertible(K, rng, n):

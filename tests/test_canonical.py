@@ -4,13 +4,12 @@ import sys
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix, rand_monic, rand_nilpotent, rand_scalar
+from conftest import rand_invertible, rand_matrix, rand_monic, rand_nilpotent, rand_scalar, unit
 from ratform import (
     Mat,
     Poly,
     PrimeField,
     Rationals,
-    Vec,
     block_diag,
     canonical,
     char_poly,
@@ -479,7 +478,7 @@ def test_each_krylov_chain_is_eliminated_once(monkeypatch):
         assert len(spins) == len(blocks) == 4  # no block escapes
         for ann in blocks:
             for v in ann.krylov[1:]:
-                assert sum(f in (v.entries, v.entries[::-1]) for f in fed) == 1
+                assert sum(f in (v, v[::-1]) for f in fed) == 1
                 checked += 1
     assert checked == 40 and len(certified) == len(cases)
 
@@ -489,7 +488,7 @@ def test_eval_poly_vec_starts_horner_at_the_leading_term():
     K = PrimeField(101)
     rng = random.Random(111)
     a = rand_matrix(K, rng, 8)
-    v = Vec(K, [rng.randrange(101) for _ in range(8)])
+    v = [rng.randrange(101) for _ in range(8)]
     for p in (P(K, 5), P(K, 1), P(K, 3, 0, 1), rand_monic(K, rng, 4)):
         K.reset_op_count()
         got = eval_poly_vec(p, a, v)
@@ -497,7 +496,7 @@ def test_eval_poly_vec_starts_horner_at_the_leading_term():
             assert K.op_count == 8
         assert got == eval_poly(p, a) * v
     K.reset_op_count()
-    assert eval_poly_vec(Poly.zero(K), a, v) == Vec.zeros(K, 8)
+    assert eval_poly_vec(Poly.zero(K), a, v) == [K.zero] * 8
     assert K.op_count == 0
     # distinct eigenvalues make every lcm combination coprime (h = k = 1);
     # Horner from the zero vector took 14,064, and eliminating each
@@ -563,9 +562,9 @@ def test_derogatory_rnf_needs_neither_solve_nor_rref(monkeypatch):
 def _first_escape(a):
     """0-based index of the first e_i that the minimal polynomial of e_1 leaves nonzero."""
     K = a.field
-    mu = local_min_poly(a, Vec.basis(K, a.nrows, 0)).mu
+    mu = local_min_poly(a, unit(K, a.nrows, 0)).mu
     for i in range(a.nrows):
-        if not eval_poly_vec(mu, a, Vec.basis(K, a.nrows, i)).is_zero:
+        if any(eval_poly_vec(mu, a, unit(K, a.nrows, i))):
             return i
     return None
 

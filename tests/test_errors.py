@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ratform import Mat, Poly, PrimeField, Rationals, Vec, canonical, rnf
+from conftest import unit
+from ratform import Mat, Poly, PrimeField, Rationals, canonical, rnf
 from ratform.errors import InternalInvariantError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratform"
@@ -71,7 +72,7 @@ def test_rnf_certify_failure_names_phase_and_block(monkeypatch):
 
     def wrong_basis(sub, ann):
         n = sub.nrows
-        return ann._replace(krylov=[Vec.basis(Q, n, i) for i in range(n)])
+        return ann._replace(krylov=[unit(Q, n, i) for i in range(n)])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 0, wrong_basis)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 0: A\*T and T\*R"):
@@ -82,7 +83,7 @@ def test_rnf_certify_catches_a_singular_transform(monkeypatch):
     Q = Rationals()
 
     def zero_chain(sub, ann):
-        return ann._replace(krylov=[Vec.zeros(Q, sub.nrows)])
+        return ann._replace(krylov=[[Q.zero] * sub.nrows])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, zero_chain)
     with pytest.raises(InternalInvariantError, match=r"^rnf certify, block 1: column 1 of T"):

@@ -5,7 +5,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import decimal_digits
-from ratform import PrimeField, Rationals
+from ratform import (
+    Mat,
+    Poly,
+    PrimeField,
+    Rationals,
+    complete_to_basis,
+    eval_poly_vec,
+    inverse,
+    is_similar,
+    kernel_basis,
+    local_min_poly,
+    poly_gcd,
+    rnf,
+    solve,
+)
 from ratform.field import PRIME_BOUND
 
 
@@ -23,6 +37,42 @@ def test_gf7_multiplication_example():
 def test_inverse_of_zero_raises(K):
     with pytest.raises(ZeroDivisionError):
         K.inv(K.zero)
+
+
+def _scalars(x):
+    """Every scalar in a result made of matrices, polynomials, lists and tuples."""
+    if isinstance(x, Mat):
+        return [a for row in x.data for a in row]
+    if isinstance(x, Poly):
+        return list(x.coeffs)
+    if isinstance(x, (list, tuple)):
+        return [a for y in x for a in _scalars(y)]
+    return [x]
+
+
+def test_int_entries_over_q_give_exact_results():
+    """Plain ints are exact rationals: an int pivot is inverted to a Fraction, never a float."""
+    Q = Rationals()
+
+    def results(s):
+        a = Mat(Q, [[s(3), s(1), s(0)], [s(1), s(1), s(2)], [s(0), s(2), s(5)]])
+        swap = Mat(Q, [[s(0), s(1)], [s(1), s(0)]])
+        return [
+            inverse(Mat(Q, [[s(2), s(0)], [s(0), s(3)]])),
+            inverse(a),
+            solve(Mat(Q, [[s(3), s(1)], [s(1), s(1)]]), [s(1), s(0)]),
+            kernel_basis(Mat(Q, [[s(2), s(4)], [s(1), s(2)]])),
+            local_min_poly(swap, [s(3), s(1)])[:3],
+            poly_gcd(Poly(Q, [s(2), s(3)]), Poly(Q, [s(4), s(6)])),
+            eval_poly_vec(Poly(Q, [s(1), s(2)]), a, [s(1), s(2), s(3)]),
+            complete_to_basis(Q, [[s(2), s(0), s(1)]], 3),
+            rnf(a),
+            is_similar(a, a, witness=True),
+        ]
+
+    got = results(int)
+    assert not [x for x in _scalars(got) if isinstance(x, float)]
+    assert got == results(Fraction)
 
 
 def test_modulus_must_be_prime():

@@ -7,10 +7,11 @@ their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
 copies of themselves, op counts included; `SpanTracker`'s packed GF(p)
 rows are read back through `pivot_rows`, also at the edges of the slot
-width, and a GF(p) entry outside [0, p) is reduced when its `Mat` or
-`Vec` is built.  `rref` and what reads it (`solve`, `kernel_basis`),
-and `over_rows` and `inverse`, which read `SpanTracker` coordinates,
-must also equal a scalar Gauss-Jordan elimination in value.  The basis
+width, and a GF(p) entry outside [0, p) is reduced when its `Mat` is
+built or its vector reaches `local_min_poly` or `complete_to_basis`.
+`rref` and what reads it (`solve`, `kernel_basis`), and `over_rows`
+and `inverse`, which read `SpanTracker` coordinates, must also equal
+a scalar Gauss-Jordan elimination in value.  The basis
 completion read off the reversed Krylov chain, and the quotient split
 that reads it off the tracker of `local_min_poly`, must equal the scan
 over e_0, e_1, ... and the Gauss-Jordan solve they replace.
@@ -21,12 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_invertible, rand_monic
+from conftest import rand_invertible, rand_monic, unit
 from ratform import (
     Mat,
     PrimeField,
     Rationals,
-    Vec,
     block_diag,
     canonical,
     companion,
@@ -138,9 +138,9 @@ def test_mat_products_match_scalar_composition(K):
         expected, expected_ops = counted(K, matmul_ref, K, a, b)
         assert (product.nrows, product.ncols) == (m, n if k else 0)
         assert product.data == expected and ops == expected_ops
-        v = Vec(K, row(K, rng, k))
+        v = row(K, rng, k)
         image, ops = counted(K, a.__mul__, v)
-        assert (image.entries, ops) == counted(K, matvec_ref, K, a.data, v.entries)
+        assert (image, ops) == counted(K, matvec_ref, K, a.data, v)
         assert len(image) == m
 
 
@@ -274,7 +274,7 @@ def assert_trackers_agree(K, n, vectors):
     twin = fast.copy()
     assert (twin.pivot_rows(), twin.steps, twin.relation) == (rows, steps, relation)
     for i in range(n):
-        twin.try_add(Vec.basis(K, n, i).entries)
+        twin.try_add(unit(K, n, i))
     assert twin.rank == n and twin.pivot_rows()[: len(rows)] == rows
     assert (fast.pivot_rows(), fast.steps, fast.relation) == (rows, steps, relation)
 
@@ -316,7 +316,7 @@ def test_packed_elimination_at_its_edges(p, n, monkeypatch):
     assert round_trips() == expected
     monkeypatch.undo()
 
-    units = [Vec.basis(K, n, i).entries for i in rng.sample(range(n), min(n, 3))]
+    units = [unit(K, n, i) for i in rng.sample(range(n), min(n, 3))]
     dense = [row(K, rng, n) for _ in range(min(n, 6))]
     in_span = [K.add(x, y) for x, y in zip(dense[0], dense[-1])]
     vectors = units + [tuple(top)] + [tuple(v) for v in dense[:3]] + dense[3:]
@@ -331,12 +331,12 @@ def test_packed_elimination_at_its_edges(p, n, monkeypatch):
     pack = PrimeField.pack
     monkeypatch.setattr(PrimeField, "pack", lambda F, xs, w: packs.append(w) or pack(F, xs, w))
     tracker = SpanTracker(K, n)
-    assert all(tracker.try_add(Vec.basis(K, n, i).entries) for i in reversed(range(n)))
+    assert all(tracker.try_add(unit(K, n, i)) for i in reversed(range(n)))
     assert packs == [b] * n
 
 
 def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
-    """Shifted entries reach the packed elimination as residues, through Mat and Vec."""
+    """Shifted entries reach the packed elimination as residues, through Mat and canonical_row."""
     K = PrimeField(7)
     assert [str(f) for f in rnf(Mat(K, [[-1, 0], [0, 1]])).factors] == ["X^2 + 6"]
     rng = random.Random(410)
@@ -351,9 +351,9 @@ def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
         assert (got.factors, got.transform) == (want.factors, want.transform)
         tracker = SpanTracker(K, n)
         for v in a:
-            tracker.try_add(Vec(K, v).entries)
+            tracker.try_add(v)
         for r, v in zip(shifted, a):
-            r = Vec(K, r).entries
+            r = K.canonical_row(r)
             if any(r[q] for q in tracker.pivots):  # r meets a row, so it is packed
                 packed += 1
                 assert tracker.coordinates(r) == tracker.coordinates(v)
@@ -368,21 +368,27 @@ def test_gf_mat_and_vec_reduce_their_entries_when_built():
     assert rank(Mat(K, [[14, -7], [0, 21]])) == 0
     assert Mat(K, [[-1, 8], [7, -13]]) == Mat(K, [[6, 1], [0, 1]])
     assert Mat(K, [[-1, 8], [7, -13]]).data == [[6, 1], [0, 1]]
-    assert Vec(K, [-6, 15, 7]) == Vec(K, [1, 1, 0])
-    assert Mat(K, [[7, -14], [21, 0]]).is_zero and Vec(K, [7, -7, 70]).is_zero
-    assert not Vec(K, [7, 8]).is_zero
+    assert Mat(K, [[7, -14], [21, 0]]).is_zero
+    # a caller's vector is reduced where it reaches the elimination
     a = Mat(K, [[1, 2, 0], [0, 3, 1], [5, 0, 4]])
-    for shifted, residues in (([7, 1, -7], [0, 1, 0]), ([-13, 14, 9], [1, 0, 2])):
-        got, want = local_min_poly(a, Vec(K, shifted)), local_min_poly(a, Vec(K, residues))
+    cases = (([7, 1, -7], [0, 1, 0]), ([-13, 14, 9], [1, 0, 2]), ([8, -6, 7], [1, 1, 0]))
+    for shifted, residues in cases:
+        got, want = local_min_poly(a, shifted), local_min_poly(a, residues)
+        assert got.vector == residues
         assert (got.vector, got.mu, got.krylov) == (want.vector, want.mu, want.krylov)
         assert got.tracker.pivot_rows() == want.tracker.pivot_rows()
+        assert complete_to_basis(K, [shifted], 3) == complete_to_basis(K, [residues], 3)
+    completed = complete_to_basis(K, [[-6, 15, 7], [0, 7, 8]], 3)  # columns e_0+e_1, e_2, e_0
+    assert completed.data == [[1, 0, 1], [1, 0, 0], [0, 1, 0]]
     with pytest.raises(ValueError, match="zero vector"):
-        local_min_poly(a, Vec(K, [7, -14, 0]))
-    # over Q the entries are a plain copy
+        local_min_poly(a, [7, -14, 0])
+    with pytest.raises(ValueError, match="dependent"):
+        complete_to_basis(K, [[1, 1, 0], [8, -6, 7]], 3)
+    # over Q the entries are a plain copy, not the caller's list
     Q = Rationals()
     entries = [Fraction(1, 3), Fraction(-2)]
-    v = Vec(Q, entries)
-    assert v.entries == entries and v.entries is not entries
+    got = local_min_poly(Mat.identity(Q, 2), entries)
+    assert got.vector == entries and got.vector is not entries
 
 
 def gj_inverse(K, a):
@@ -470,10 +476,9 @@ def test_rref_and_its_readers_equal_gauss_jordan(K):
         m, pivots = rref_ref(K, a)
         reduced = rref(a)
         assert (reduced.matrix.data, reduced.pivots, reduced.rank) == (m, pivots, len(pivots))
-        assert [v.entries for v in kernel_basis(a)] == gj_kernel(K, a)
-        for b in (row(K, rng, a.nrows), (a * Vec(K, row(K, rng, a.ncols))).entries):
-            x = solve(a, Vec(K, b))
-            assert (x if x is None else x.entries) == gj_solve(K, a, b)
+        assert kernel_basis(a) == gj_kernel(K, a)
+        for b in (row(K, rng, a.nrows), a * row(K, rng, a.ncols)):
+            assert solve(a, b) == gj_solve(K, a, b)
         x = Mat(K, [row(K, rng, a.ncols) for _ in range(rng.randint(1, 3))])
         if not a.is_square:
             with pytest.raises(DimensionError):
@@ -496,20 +501,20 @@ def completion_scan(K, vectors, n):
     """The completion by scanning e_0, e_1, ... after the inputs, in scalar calls."""
     tracker = ScalarTracker(K, n)
     for v in vectors:
-        assert tracker.try_add(v.entries)
-    return [i for i in range(n) if tracker.try_add(Vec.basis(K, n, i).entries)]
+        assert tracker.try_add(v)
+    return [i for i in range(n) if tracker.try_add(unit(K, n, i))]
 
 
 def independent(K, n, candidates):
     tracker = SpanTracker(K, n)
-    return [v for v in candidates if tracker.try_add(v.entries)]
+    return [v for v in candidates if tracker.try_add(v)]
 
 
 def reversed_tracker(K, vectors, n):
     """The inputs reduced by their last entries, as `rnf` reduces a chain, and its completion."""
     tracker = SpanTracker(K, n)
     for v in vectors:
-        assert tracker.try_add(v.entries[::-1])
+        assert tracker.try_add(v[::-1])
     return tracker, tracker.completion()
 
 
@@ -518,23 +523,23 @@ def completion_families(K, rng):
     out = [([], 0), ([], 1), ([], rng.randint(2, 7))]
     for _ in range(6):
         n = rng.randint(1, 8)
-        out.append(([Vec(K, c) for c in zip(*rand_invertible(K, rng, n).data)], n))
+        out.append(([list(c) for c in zip(*rand_invertible(K, rng, n).data)], n))
         units = rng.sample(range(n), rng.randint(1, n))
-        out.append(([Vec.basis(K, n, i) for i in units], n))
+        out.append(([unit(K, n, i) for i in units], n))
         q = rand_monic(K, rng, rng.randint(1, 3))
         form = block_diag([companion(q * rand_monic(K, rng, 1)), companion(q), companion(q)])
         s = rand_invertible(K, rng, form.nrows)
         a = inverse(s) * form * s
-        start = Vec(K, row(K, rng, a.nrows))
-        if any(start.entries):
+        start = row(K, rng, a.nrows)
+        if any(start):
             out.append((local_min_poly(a, start).krylov, a.nrows))
         last = rng.randrange(n)
         ending = []
         for _ in range(rng.randint(1, last + 1)):
             v = row(K, rng, last) + [K.from_int(rng.randint(1, 5))] + [K.zero] * (n - 1 - last)
-            ending.append(Vec(K, v))
+            ending.append(v)
         out.append((independent(K, n, ending), n))
-        out.append((independent(K, n, [Vec(K, row(K, rng, n)) for _ in range(n)]), n))
+        out.append((independent(K, n, [row(K, rng, n) for _ in range(n)]), n))
     return out
 
 
@@ -546,7 +551,7 @@ def test_completion_by_last_entries_equals_the_index_scan(K):
         expected = completion_scan(K, vectors, n)
         assert keep == expected
         assert tracker.rank == len(vectors) == n - len(keep)
-        columns = vectors + [Vec.basis(K, n, i) for i in expected]
+        columns = vectors + [unit(K, n, i) for i in expected]
         assert complete_to_basis(K, vectors, n) == Mat.from_cols(K, columns, n)
 
 
@@ -556,11 +561,11 @@ def test_coordinates_rebuild_the_vector(K):
     for vectors, n in completion_families(K, rng):
         tracker, keep = reversed_tracker(K, vectors, n)
         inside = [K.from_int(rng.randint(-3, 3)) for _ in vectors]
-        in_span = [dot_ref(K, [v.entries[i] for v in vectors], inside) for i in range(n)]
-        for y in (row(K, rng, n), in_span, *(Vec.basis(K, n, i).entries for i in range(n))):
+        in_span = [dot_ref(K, [v[i] for v in vectors], inside) for i in range(n)]
+        for y in (row(K, rng, n), in_span, *(unit(K, n, i) for i in range(n))):
             x, r = tracker.coordinates(y[::-1])
             r = r[::-1]
-            span_part = [dot_ref(K, [v.entries[i] for v in vectors], x) for i in range(n)]
+            span_part = [dot_ref(K, [v[i] for v in vectors], x) for i in range(n)]
             assert [K.add(z, w) for z, w in zip(span_part, r)] == y
             assert not any(r[i] for i in range(n) if i not in keep)
             if y is in_span:
@@ -572,7 +577,7 @@ def split_quotient_ref(sub, krylov):
     K = sub.field
     m, d = sub.nrows, len(krylov)
     keep = completion_scan(K, krylov, m)
-    rows = [[v.entries[r] for v in krylov] for r in range(m)]
+    rows = [[v[r] for v in krylov] for r in range(m)]
     system = [rows[r] + [sub.data[r][s] for s in keep] for r in range(m) if r not in keep]
     reduced, pivots = rref_ref(K, Mat(K, system))
     assert pivots == list(range(d))

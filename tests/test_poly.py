@@ -8,6 +8,7 @@ from ratform import (
     Poly,
     PrimeField,
     Rationals,
+    companion,
     eval_poly,
     poly_gcd,
     poly_lcm,
@@ -201,3 +202,16 @@ def test_monic_and_degree_sentinel():
     assert Poly.zero(K).degree < Poly.one(K).degree == 0
     with pytest.raises(ValueError):
         Poly.zero(K).monic()
+
+
+def test_gf_coefficients_are_reduced_when_built():
+    """A coefficient outside [0, p) is its residue: in degree, text, equality and companion."""
+    K = PrimeField(7)
+    p = Poly(K, [1, 7])
+    assert p == Poly.one(K) and p.degree == 0 and str(p) == "1"
+    assert Poly(K, [-1, 1]) == Poly(K, [6, 1]) and Poly(K, [-1, 1]).coeffs == [6, 1]
+    assert Poly(K, [14, -7]).is_zero
+    assert companion(Poly(K, [3, 8])) == Mat(K, [[4]])
+    Q = Rationals()
+    coeffs = [Q.from_int(-1), Q.one]
+    assert Poly(Q, coeffs).coeffs == coeffs and Poly(Q, coeffs).coeffs is not coeffs
