@@ -21,7 +21,6 @@ from .linalg import (
     SpanTracker,
     block_diag,
     companion,
-    conjugates,
     over_rows,
     pivot_columns,
 )
@@ -58,8 +57,8 @@ class JnfResult(NamedTuple):
 
     partition lists the Jordan block sizes in descending order; jnf is
     the block-diagonal nilpotent Jordan matrix (ones on the subdiagonal,
-    matching the companion-block convention); transform conjugates the
-    input onto it.
+    matching the companion-block convention); transform satisfies
+    inverse(transform) * A * transform == jnf.
     """
 
     partition: list[int]
@@ -281,8 +280,9 @@ def is_similar(a: Mat, b: Mat, *, witness: bool = False):
 
     With witness=True returns (similar, S) where S is invertible with
     A S = S B when similar (None otherwise).  S = Ta * Tb^-1 for the rnf
-    transforms, read off by `over_rows` with no inverse formed, and is
-    checked by `conjugates` (A S == S B and rank n) before returning.
+    transforms, read off by `over_rows` with no inverse formed.  Ta and Tb
+    are certified onto the same R, so S * Tb == Ta, checked before
+    returning, gives A S = Ta R Tb^-1 = S B and rank(S) = rank(Ta) = n.
     """
     if not a.is_square or not b.is_square:
         raise DimensionError("similarity is defined for square matrices")
@@ -298,8 +298,8 @@ def is_similar(a: Mat, b: Mat, *, witness: bool = False):
     if not same:
         return False, None
     s = over_rows(ra.transform, rb.transform)
-    if not conjugates(a, s, b):
-        raise InternalInvariantError("similarity witness fails A*S = S*B or is singular")
+    if s * rb.transform != ra.transform:
+        raise InternalInvariantError("similarity witness fails S*Tb = Ta")
     return True, s
 
 
@@ -310,8 +310,8 @@ def nilpotent_jnf(a: Mat) -> JnfResult:
     X^s.  Then every invariant factor is a monomial X^s_i, and
     companion(X^s_i) is the nilpotent Jordan block of size s_i, so the
     factor degrees are the partition (descending, since each factor
-    divides the one before) and rnf's certified transform conjugates A
-    onto the Jordan matrix.
+    divides the one before) and rnf's certified transform T gives
+    T^-1 A T == the Jordan matrix.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")

@@ -9,9 +9,9 @@ scales polynomially.
 
 Because the representations are canonical, `==` on scalar values is
 exact mathematical equality and zero is the only falsy value.  `Mat`
-puts its entries through `canonical_row` when built, and so do
-`local_min_poly` and `complete_to_basis` with a caller's vector, so an
-int outside [0, p) is reduced mod p where it enters, once.
+and `Poly` put their entries through `canonical_row` when built, and so
+do `local_min_poly` and `complete_to_basis` with a caller's vector: an
+int outside [0, p) is reduced mod p there, once, and a float refused.
 
 A field also owns the format of the rows `SpanTracker` stores: lists
 over Q, and over GF(p) one int per row with an entry in each fixed-width
@@ -25,7 +25,7 @@ import sys
 from array import array
 from decimal import Decimal
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 __all__ = ["Field", "Rationals", "PrimeField"]
 
@@ -144,8 +144,12 @@ class Field:
         raise NotImplementedError
 
     def canonical_row(self, xs) -> list:
-        """The entries as a fresh list of canonical values; a plain copy over Q."""
-        return list(xs)
+        """The entries as a fresh list of canonical values; over Q, ints and Fractions copied."""
+        row = list(xs)
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"not an exact rational scalar: {x!r}")
+        return row
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -204,7 +208,7 @@ class Rationals(Field):
         return [c * x for x in xs]
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return Fraction(index(k))
 
     def parse(self, text: str):
         if not _RATIONAL_RE.match(text):
@@ -309,7 +313,7 @@ class PrimeField(Field):
 
     def canonical_row(self, xs) -> list:
         p = self.p
-        return [x % p for x in xs]
+        return [index(x) % p for x in xs]  # a float or a Fraction raises TypeError
 
     def parse(self, text: str):
         if not _INT_RE.match(text):

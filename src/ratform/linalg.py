@@ -12,7 +12,7 @@ values are safe to share across threads.
 `over_rows` (X * A^-1, so also `inverse`) reads its coordinates.  Fed
 reversed vectors, its pivots give a basis completion
 (`SpanTracker.completion`) and it gives coordinates in that basis.
-`conjugates` is the one check of a transform: A*T == T*B and full rank.
+`conjugates` (A*T == T*B and full rank) re-checks a transform for `--check`.
 """
 
 from __future__ import annotations

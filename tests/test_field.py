@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,30 @@ def test_int_entries_over_q_give_exact_results():
     got = results(int)
     assert not [x for x in _scalars(got) if isinstance(x, float)]
     assert got == results(Fraction)
+
+
+def test_inexact_scalars_are_refused_where_they_enter():
+    """A float (or a Decimal, or a Fraction over GF(p)) has no exact value
+    in the field: building a matrix, polynomial or vector from it raises
+    TypeError naming it, where it once gave a float result or failed deep
+    in the elimination."""
+    Q, G = Rationals(), PrimeField(7)
+    refused = [
+        (lambda: Mat(Q, [[0.1, 0.2], [0.3, 0.4]]), "0.1"),
+        (lambda: Mat(G, [[2.0, 0], [0, 1]]), "float"),
+        (lambda: Poly(G, [2.5, 1]), "float"),
+        (lambda: Poly(Q, [Decimal("0.5"), 1]), "Decimal"),
+        (lambda: Mat(G, [[1, Fraction(1, 2)]]), "Fraction"),
+        (lambda: local_min_poly(Mat.identity(Q, 2), [1, 0.5]), "0.5"),
+        (lambda: complete_to_basis(G, [[1, 2, 3.0]], 3), "float"),
+        (lambda: Mat.from_ints(Q, [[0.1]]), "float"),
+        (lambda: Poly.from_ints(Q, [0.5, 1]), "float"),
+    ]
+    for build, name in refused:
+        with pytest.raises(TypeError, match=name):
+            build()
+    assert Mat(G, [[True, -8]]).data == [[1, 6]]
+    assert Mat(Q, [[1, Fraction(1, 2)]]).data == [[1, Fraction(1, 2)]]
 
 
 def test_modulus_must_be_prime():
