@@ -10,12 +10,14 @@ scales polynomially.
 Because the representations are canonical, `==` on scalar values is
 exact mathematical equality and zero is the only falsy value.  `Mat`
 and `Poly` put their entries through `canonical_row` when built, and so
-do `local_min_poly` and `complete_to_basis` with a caller's vector: an
-int outside [0, p) is reduced mod p there, once, and a float refused.
+do `Mat * v`, `eval_poly_vec`, `local_min_poly` and `complete_to_basis`
+with a caller's vector: an int outside [0, p) is reduced mod p there,
+an int over Q made a Fraction, and a float refused.
 
-A field also owns the format of the rows `SpanTracker` stores: lists
-over Q, and over GF(p) one int per row with an entry in each fixed-width
-slot (`PrimeField.pack`), reduced mod p only when read back.
+Only a field knows how `SpanTracker`'s rows are stored (`store_row`,
+`load_row`, `reduce_by_rows`): `Field` keeps lists, which `Rationals`
+inherits, and `PrimeField` packs a row into one int with an entry in
+each fixed-width slot (`pack`), reduced mod p only when read back.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class Field:
     Instances are immutable apart from `op_count`, a running tally of the
     arithmetic operations executed through the context.  Scalar methods
     (add, sub, mul, neg, inv) count one each; the row-level methods
-    (matvec, sub_scaled, scale) count in one step exactly what the
-    equivalent scalar calls would.  Two contexts compare equal iff they
+    (matvec, sub_scaled, scale, reduce_by_rows) count in one step exactly
+    what the equivalent scalar calls would.  Two contexts compare equal iff they
     describe the same field, so values may flow between structures built
     from equal contexts.
 
@@ -134,9 +136,28 @@ class Field:
         """[c*x for x in xs]; counted as one mul each."""
         raise NotImplementedError
 
-    def slot_bytes(self, dim: int) -> int:
-        """Bytes per entry of a packed row of length dim; 0: rows stay lists."""
-        return 0
+    # -- stored rows of an elimination: here lists, the tail after a unit pivot --
+
+    def store_row(self, pivot: int, tail: list, dim: int):
+        """A row of length dim, zero before a unit pivot and tail after it, as stored."""
+        return tail
+
+    def load_row(self, pivot: int, row, dim: int) -> list:
+        """The tail of a stored row as a fresh list."""
+        return list(row)
+
+    def reduce_by_rows(self, entries, rows, dim: int) -> tuple[list, list]:
+        """The vector less c * row j for each multiplier (j, c) taken off, and the multipliers."""
+        v = list(entries)
+        multipliers = []
+        for j, (piv, tail) in enumerate(rows):
+            c = v[piv]
+            if not c:
+                continue
+            v[piv] = self.zero
+            v[piv + 1 :] = self.sub_scaled(v[piv + 1 :], c, tail)
+            multipliers.append((j, c))
+        return v, multipliers
 
     # -- conversions --
 
@@ -144,11 +165,13 @@ class Field:
         raise NotImplementedError
 
     def canonical_row(self, xs) -> list:
-        """The entries as a fresh list of canonical values; over Q, ints and Fractions copied."""
+        """The entries as a fresh list of canonical values; over Q, each int made a Fraction."""
         row = list(xs)
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"not an exact rational scalar: {x!r}")
+        for i, x in enumerate(row):
+            if type(x) is not Fraction:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"not an exact rational scalar: {x!r}")
+                row[i] = Fraction(x)
         return row
 
     def parse(self, text: str):
@@ -227,7 +250,7 @@ class Rationals(Field):
 class PrimeField(Field):
     """GF(p) for a prime modulus; residues kept canonical in [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_dim8")
 
     kind = "gf"
     zero = 0
@@ -242,6 +265,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        self._dim8 = ((2**64 - 1) // (p - 1) - 1) // (p - 1)  # the largest dim with 8-byte slots
 
     def describe(self) -> str:
         return f"gf {self.p}"
@@ -288,11 +312,13 @@ class PrimeField(Field):
         p = self.p
         return [c * x % p for x in xs]
 
-    # A packed row is one int with entry i in the little-endian slot of b
+    # A stored row is one int with entry i in the little-endian slot of b
     # bytes at bit 8*b*i.  A slot holds a residue plus dim products of two
     # residues, so `V += (p - c) * row` never carries into the next slot.
 
     def slot_bytes(self, dim: int) -> int:
+        if dim <= self._dim8:  # most fields and sizes: skip the big-int arithmetic
+            return 8
         return max(8, (((self.p - 1) * (1 + dim * (self.p - 1))).bit_length() + 7) // 8)
 
     def pack(self, entries, b: int) -> int:
@@ -307,6 +333,34 @@ class PrimeField(Field):
         if b == 8 and _LITTLE:
             return [x % p for x in array("Q", data)]
         return [int.from_bytes(data[i : i + b], "little") % p for i in range(0, b * n, b)]
+
+    def store_row(self, pivot, tail, dim):
+        b = self.slot_bytes(dim)
+        return self.pack([1] + tail, b) << 8 * b * pivot
+
+    def load_row(self, pivot, row, dim):
+        b = self.slot_bytes(dim)
+        return self.unpack(row >> 8 * b * (pivot + 1), dim - pivot - 1, b)
+
+    def reduce_by_rows(self, entries, rows, dim):
+        # Packed at the first row that meets it: a vector that meets none never is.
+        for first, (piv, _) in enumerate(rows):
+            if entries[piv]:
+                break
+        else:
+            return list(entries), []
+        p, b = self.p, self.slot_bytes(dim)
+        packed = self.pack(entries, b)
+        w, mask = 8 * b, (1 << 8 * b) - 1
+        multipliers, ops = [], 0
+        for j, (piv, row) in enumerate(rows[first:], first):
+            c = (packed >> w * piv & mask) % p
+            if c:
+                packed += (p - c) * row
+                multipliers.append((j, c))
+                ops += dim - piv - 1
+        self.op_count += 2 * ops  # as the sub_scaled calls of list rows
+        return self.unpack(packed, dim, b), multipliers
 
     def from_int(self, k: int):
         return k % self.p

@@ -2,16 +2,18 @@
 
 A vector is a plain list of canonical scalars, read as a column:
 ``A * v`` applies A on the left, so ``A * e_j`` reads off column j.
-A caller's vector is reduced where it reaches the elimination
-(`local_min_poly`, `complete_to_basis`).  All operations return new
-objects; elimination routines mutate only private working copies, so
-values are safe to share across threads.
+A caller's vector is reduced where it enters (`Mat * v`,
+`eval_poly_vec`, `local_min_poly`, `complete_to_basis`).  All
+operations return new objects; elimination routines mutate only
+private working copies, so values are safe to share across threads.
 
 `SpanTracker` is the only forward elimination; `rref`, and through it
 `solve` and `kernel_basis`, adds a back pass to its rows, and
 `over_rows` (X * A^-1, so also `inverse`) reads its coordinates.  Fed
 reversed vectors, its pivots give a basis completion
 (`SpanTracker.completion`) and it gives coordinates in that basis.
+Its rows are stored and read in the field's own format (`field.py`),
+which this module does not know.
 `conjugates` (A*T == T*B and full rank) re-checks a transform for `--check`.
 """
 
@@ -122,7 +124,7 @@ class Mat:
             return Mat(K, [K.matvec(bcols, row) for row in self.data])
         if self.ncols != len(other):
             raise DimensionError("matrix-vector size mismatch")
-        return K.matvec(self.data, other)
+        return K.matvec(self.data, K.canonical_row(other))
 
     @property
     def is_zero(self) -> bool:
@@ -268,22 +270,18 @@ class SpanTracker:
     vector, or its part in the span, over the vectors that were added
     (`dependence`, `coordinates`).
 
-    Over GF(p) a row is one int packed by the field (`PrimeField.pack`):
-    taking c times it off a vector is one big-int multiply-add, and the
-    vector is reduced mod p once, when unpacked.  A vector is packed at
-    the first row with a non-zero multiplier, so one that meets no row
-    is never packed.  Entries must be canonical, as the library's
-    vectors are.  Over Q rows stay lists.  `pivots` and `pivot_rows`
-    read rows back; `copy` gives a tracker of the same span to grow apart.
+    The field stores the rows and reduces a vector by them
+    (`Field.reduce_by_rows`), in a format only it reads.  Entries must
+    be canonical.  `pivots` and `pivot_rows` read rows back; `copy`
+    gives a tracker of the same span to grow apart.
     """
 
-    __slots__ = ("field", "dim", "slot", "_rows", "steps", "relation")
+    __slots__ = ("field", "dim", "_rows", "steps", "relation")
 
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.dim = dim
-        self.slot = field.slot_bytes(dim)  # bytes per packed entry; 0 for list rows
-        self._rows: list[tuple[int, object]] = []  # (pivot, packed int or list of the tail)
+        self._rows: list[tuple[int, object]] = []  # (pivot, row as the field stores it)
         self.steps: list[tuple] = []  # (pivot scale, multipliers) per row
         self.relation = None  # multipliers of the last vector try_add rejected
 
@@ -308,57 +306,19 @@ class SpanTracker:
 
     def pivot_rows(self) -> list[tuple[int, list]]:
         """The rows in insertion order as (pivot, fresh list of the entries after it)."""
-        if not self.slot:
-            return [(piv, list(tail)) for piv, tail in self._rows]
-        K, b, n = self.field, self.slot, self.dim
-        return [(q, K.unpack(row >> 8 * b * (q + 1), n - q - 1, b)) for q, row in self._rows]
-
-    def _reduce(self, entries) -> tuple[list, list]:
-        """The residual of a vector and the multipliers (j, c) of rows taken off."""
-        K = self.field
-        rows = self._rows
-        if self.slot:
-            for first, (piv, _) in enumerate(rows):
-                if entries[piv]:
-                    break
-            else:
-                return list(entries), []
-            b, n, p = self.slot, self.dim, K.p
-            packed = K.pack(entries, b)
-            w, mask = 8 * b, (1 << 8 * b) - 1
-            multipliers, ops = [], 0
-            for j, (piv, row) in enumerate(rows[first:], first):
-                c = (packed >> w * piv & mask) % p
-                if c:
-                    packed += (p - c) * row
-                    multipliers.append((j, c))
-                    ops += n - piv - 1
-            K.op_count += 2 * ops  # as the sub_scaled calls of the list rows
-            return K.unpack(packed, n, b), multipliers
-        v = list(entries)
-        multipliers = []
-        for j, (piv, tail) in enumerate(rows):
-            c = v[piv]
-            if not c:
-                continue
-            v[piv] = K.zero
-            v[piv + 1 :] = K.sub_scaled(v[piv + 1 :], c, tail)
-            multipliers.append((j, c))
-        return v, multipliers
+        load = self.field.load_row
+        return [(piv, load(piv, row, self.dim)) for piv, row in self._rows]
 
     def try_add(self, entries) -> bool:
         """Add the vector if it enlarges the span; report whether it did."""
         K = self.field
-        v, multipliers = self._reduce(entries)
+        v, multipliers = K.reduce_by_rows(entries, self._rows, self.dim)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             self.relation = multipliers
             return False
         s = K.inv(v[pivot])
-        row = K.scale(s, v[pivot + 1 :])
-        if self.slot:
-            row = K.pack([K.one] + row, self.slot) << 8 * self.slot * pivot
-        self._rows.append((pivot, row))
+        self._rows.append((pivot, K.store_row(pivot, K.scale(s, v[pivot + 1 :]), self.dim)))
         self.steps.append((s, multipliers))
         return True
 
@@ -368,7 +328,7 @@ class SpanTracker:
         u_k is the k-th vector added; y comes from the same
         back-substitution as `dependence`.
         """
-        v, multipliers = self._reduce(entries)
+        v, multipliers = self.field.reduce_by_rows(entries, self._rows, self.dim)
         return self._back_substitute(multipliers), v
 
     def dependence(self) -> list:
@@ -498,6 +458,7 @@ def eval_poly_vec(p: Poly, a: Mat, v: list) -> list:
     if len(v) != a.nrows:
         raise DimensionError("vector length does not match matrix size")
     K = a.field
+    v = K.canonical_row(v)
     if p.is_zero:
         return [K.zero] * a.nrows
     w = K.scale(p.coeffs[-1], v)
@@ -520,37 +481,22 @@ def char_poly_oracle(a: Mat) -> Poly:
     if n > 8:
         raise ValueError("cofactor oracle is limited to matrices up to 8x8")
     K = a.field
-    if n == 0:
-        return Poly.one(K)
     entries = [
-        [
-            Poly(K, [K.neg(a.data[i][j]), K.one])
-            if i == j
-            else Poly(K, [K.neg(a.data[i][j])])
-            for j in range(n)
-        ]
+        [Poly(K, [K.neg(a.data[i][j])] + [K.one] * (i == j)) for j in range(n)]
         for i in range(n)
     ]
-    memo: dict[int, Poly] = {}
+    memo: dict[tuple, Poly] = {}
 
-    def det(cols_mask: int) -> Poly:
-        if cols_mask == 0:
+    def det(cols: tuple) -> Poly:
+        """The minor on the last len(cols) rows and the columns cols, ascending."""
+        if not cols:
             return Poly.one(K)
-        cached = memo.get(cols_mask)
-        if cached is not None:
-            return cached
-        r = n - bin(cols_mask).count("1")
-        acc = Poly.zero(K)
-        sign = 1
-        mask = cols_mask
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            term = entries[r][j] * det(cols_mask & ~low)
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-            mask &= mask - 1
-        memo[cols_mask] = acc
-        return acc
+        if cols not in memo:
+            r, acc = n - len(cols), Poly.zero(K)
+            for k, j in enumerate(cols):
+                term = entries[r][j] * det(cols[:k] + cols[k + 1 :])
+                acc = acc + term if k % 2 == 0 else acc - term
+            memo[cols] = acc
+        return memo[cols]
 
-    return det((1 << n) - 1)
+    return det(tuple(range(n)))

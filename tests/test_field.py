@@ -13,10 +13,12 @@ from ratform import (
     Rationals,
     complete_to_basis,
     eval_poly_vec,
+    format_matrix,
     inverse,
     is_similar,
     kernel_basis,
     local_min_poly,
+    parse_matrix,
     poly_gcd,
     rnf,
     solve,
@@ -78,9 +80,10 @@ def test_int_entries_over_q_give_exact_results():
 
 def test_inexact_scalars_are_refused_where_they_enter():
     """A float (or a Decimal, or a Fraction over GF(p)) has no exact value
-    in the field: building a matrix, polynomial or vector from it raises
-    TypeError naming it, where it once gave a float result or failed deep
-    in the elimination."""
+    in the field: building a matrix, polynomial or vector from it, or
+    applying a matrix or polynomial to it, raises TypeError naming it,
+    where it once gave a float result or failed deep in the elimination.
+    An int, a bool included, is the field element it stands for."""
     Q, G = Rationals(), PrimeField(7)
     refused = [
         (lambda: Mat(Q, [[0.1, 0.2], [0.3, 0.4]]), "0.1"),
@@ -92,12 +95,24 @@ def test_inexact_scalars_are_refused_where_they_enter():
         (lambda: complete_to_basis(G, [[1, 2, 3.0]], 3), "float"),
         (lambda: Mat.from_ints(Q, [[0.1]]), "float"),
         (lambda: Poly.from_ints(Q, [0.5, 1]), "float"),
+        (lambda: Mat.identity(G, 2) * [2.0, 1], "float"),
+        (lambda: Mat.identity(Q, 2) * [0.5, 1], "0.5"),
+        (lambda: eval_poly_vec(Poly(G, [1, 1]), Mat.identity(G, 2), [2.5, 1]), "float"),
     ]
     for build, name in refused:
         with pytest.raises(TypeError, match=name):
             build()
     assert Mat(G, [[True, -8]]).data == [[1, 6]]
     assert Mat(Q, [[1, Fraction(1, 2)]]).data == [[1, Fraction(1, 2)]]
+    assert Mat.identity(G, 2) * [9, -1] == [2, 6]
+    assert eval_poly_vec(Poly(G, [1, 1]), Mat.identity(G, 2), [9, -1]) == [4, 5]
+    # over Q every int, a bool included, is held as the Fraction it stands for
+    eye = Mat(Q, [[True, False], [False, True]])
+    assert format_matrix(eye) == "field rational\n2\n1 0\n0 1\n"
+    assert parse_matrix(format_matrix(eye)) == eye == Mat.identity(Q, 2)
+    assert str(Poly(Q, [True, True])) == "X + 1"
+    held = eye.data + [Poly(Q, [True, 2]).coeffs, Mat.identity(Q, 2) * [True, 3]]
+    assert all(type(x) is Fraction for r in held for x in r)
 
 
 def test_modulus_must_be_prime():

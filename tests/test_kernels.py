@@ -5,9 +5,10 @@ what the per-scalar composition returns and add exactly as much to
 `op_count`, so op totals read by criterion 8 and the benchmark keep
 their meaning.  The eliminations built on the kernels (`rref`,
 `pivot_columns`, `SpanTracker`) are compared with scalar reference
-copies of themselves, op counts included; `SpanTracker`'s packed GF(p)
-rows are read back through `pivot_rows`, also at the edges of the slot
-width, and a GF(p) entry outside [0, p) is reduced when its `Mat` is
+copies of themselves, op counts included.  Over GF(p) the field's packed
+rows must agree with `Field`'s list rows, which otherwise run only over
+Q; they are read back through `pivot_rows`, also at the edges of the
+slot width, and a GF(p) entry outside [0, p) is reduced when its `Mat` is
 built or its vector reaches `local_min_poly` or `complete_to_basis`.
 `rref` and what reads it (`solve`, `kernel_basis`), and `over_rows`
 and `inverse`, which read `SpanTracker` coordinates, must also equal
@@ -41,7 +42,7 @@ from ratform import (
     solve,
 )
 from ratform.errors import DimensionError, SingularMatrixError
-from ratform.field import PRIME_BOUND, _is_prime
+from ratform.field import PRIME_BOUND, Field, _is_prime
 from ratform.linalg import SpanTracker, over_rows, pivot_columns
 
 FIELDS = [PrimeField(7), PrimeField(1000000007), Rationals()]
@@ -168,14 +169,24 @@ def rref_ref(K, a):
     return m, pivots
 
 
-class ScalarTracker(SpanTracker):
-    """SpanTracker with list rows and its forward reduction written in scalar calls."""
+class ScalarTracker:
+    """A list-row reference for SpanTracker, its reductions written in scalar calls.
 
-    __slots__ = ()
+    It shares no code with SpanTracker or the field's row methods: rows
+    are (pivot, tail) lists, and `coordinates` and `dependence` go back
+    through the recorded multipliers as SpanTracker documents they do.
+    """
 
     def __init__(self, field, dim):
-        super().__init__(field, dim)
-        self.slot = 0
+        self.field, self.dim = field, dim
+        self._rows, self.steps, self.relation = [], [], None
+
+    @property
+    def pivots(self):
+        return [piv for piv, _ in self._rows]
+
+    def pivot_rows(self):
+        return [(piv, list(tail)) for piv, tail in self._rows]
 
     def _reduce(self, entries):
         K = self.field
@@ -201,6 +212,27 @@ class ScalarTracker(SpanTracker):
         self._rows.append((pivot, [K.mul(s, x) for x in v[pivot + 1 :]]))
         self.steps.append((s, multipliers))
         return True
+
+    def _back_substitute(self, multipliers):
+        K = self.field
+        y = [K.zero] * len(self._rows)
+        for j, c in multipliers:
+            y[j] = c
+        for k in reversed(range(len(y))):
+            if y[k] == K.zero:
+                continue
+            s, own = self.steps[k]
+            y[k] = K.mul(y[k], s)
+            for j, c in own:
+                y[j] = K.sub(y[j], K.mul(y[k], c))
+        return y
+
+    def coordinates(self, entries):
+        v, multipliers = self._reduce(entries)
+        return self._back_substitute(multipliers), v
+
+    def dependence(self):
+        return self._back_substitute(self.relation)
 
 
 def rref_scalar(K, a):
@@ -333,6 +365,43 @@ def test_packed_elimination_at_its_edges(p, n, monkeypatch):
     tracker = SpanTracker(K, n)
     assert all(tracker.try_add(unit(K, n, i)) for i in reversed(range(n)))
     assert packs == [b] * n
+
+
+class ListRowPrimeField(PrimeField):
+    """GF(p) whose SpanTracker rows are `Field`'s lists, not packed ints."""
+
+    __slots__ = ()
+    store_row, load_row, reduce_by_rows = Field.store_row, Field.load_row, Field.reduce_by_rows
+
+
+@pytest.mark.parametrize("p", [7, 1000000007])
+def test_list_rows_and_packed_rows_agree_over_gf(p):
+    """The two row formats, run by one SpanTracker, agree in value and op count."""
+    packed, listed = PrimeField(p), ListRowPrimeField(p)
+    rng = random.Random(411)
+    rejected = 0
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        vectors = [row(packed, rng, n) for _ in range(rng.randint(1, n))]
+        in_span = [packed.add(x, y) for x, y in zip(vectors[0], vectors[-1])]
+        vectors += [in_span, [0] * n]
+        vectors += [unit(packed, n, i) for i in rng.sample(range(n), min(n, 3))]
+        vectors += [row(packed, rng, n) for _ in range(3)]
+        fast, slow = SpanTracker(packed, n), SpanTracker(listed, n)
+        for v in vectors:
+            assert counted(packed, fast.try_add, v) == counted(listed, slow.try_add, v)
+            assert (fast.pivot_rows(), fast.steps) == (slow.pivot_rows(), slow.steps)
+            assert counted(packed, fast.coordinates, v) == counted(listed, slow.coordinates, v)
+            if fast.relation is not None:
+                assert counted(packed, fast.dependence) == counted(listed, slow.dependence)
+        rejected += len(vectors) - fast.rank
+        assert all(type(r) is int for _, r in fast._rows)
+        assert all(type(r) is list for _, r in slow._rows)
+        a = [row(packed, rng, n) for _ in range(n)]
+        want, want_ops = counted(packed, rnf, Mat(packed, a))
+        got, ops = counted(listed, rnf, Mat(listed, a))
+        assert (got.factors, got.transform, ops) == (want.factors, want.transform, want_ops)
+    assert rejected >= 60
 
 
 def test_gf_entries_outside_0_to_p_are_reduced_where_packed():
