@@ -193,17 +193,30 @@ def rnf(a: Mat) -> RnfResult:
     which are its Krylov chain in the coordinates of A.  The couplings
     are then cleared innermost-first, each block updating only the rows
     above it and the columns of T to its right.  The result is checked
-    once, by A*T == T*R and rank(T) == n.
+    once, by A*T == T*R and rank(T) == n; with the divisibility chain
+    that proves R is the rational normal form.  So a block's escape scan
+    may stop early (`min_poly_vector`), and an attempt that did and then
+    fails a check is peeled once more with the full scan.
 
     An InternalInvariantError names the phase (peel, couple or certify)
     and the block where it was detected.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
-    n = a.nrows
-    if n == 0:
+    if a.nrows == 0:
         raise ValueError("empty matrix has no rational normal form")
-    K = a.field
+    trusted: list = []
+    try:
+        return _peel(a, trusted)
+    except InternalInvariantError:
+        if not trusted:
+            raise
+    return _peel(a, None)
+
+
+def _peel(a: Mat, trusted: list | None) -> RnfResult:
+    """rnf's peel, coupling and certificate; `trusted` is `min_poly_vector`'s `_trusted`."""
+    n, K = a.nrows, a.field
     # Rows of the conjugated matrix above its companion diagonal; a row
     # of block j is meaningful right of that block only.
     upper = [[K.zero] * n for _ in range(n)]
@@ -216,7 +229,7 @@ def rnf(a: Mat) -> RnfResult:
     while off < n:
         j = len(factors)
         try:
-            ann = min_poly_vector(sub)
+            ann = min_poly_vector(sub, trusted)
             if factors and not ann.mu.divides(factors[-1]):
                 raise InternalInvariantError("invariant factor chain broken")
             d = ann.mu.degree

@@ -236,7 +236,10 @@ class Rationals(Field):
     def parse(self, text: str):
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational scalar: {text!r}")
-        return Fraction(text)  # raises ZeroDivisionError on "a/0"
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
     def format(self, a) -> str:
         try:

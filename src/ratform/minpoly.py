@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalInvariantError
-from .linalg import Mat, SpanTracker
+from .linalg import Mat, SpanTracker, eval_poly_vec
 from .poly import Poly, split_gcd
 
 __all__ = [
@@ -96,7 +96,7 @@ def combine_lcm_vector(
     return local_min_poly(a, a.field.matvec(list(zip(*cols)), h.coeffs + k.coeffs))
 
 
-def min_poly_vector(a: Mat) -> LocalAnnihilator:
+def min_poly_vector(a: Mat, _trusted: list | None = None) -> LocalAnnihilator:
     """A vector whose minimal polynomial is the matrix's own.
 
     Starts from e_1 and repeatedly absorbs the smallest-index canonical
@@ -109,6 +109,11 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
     and one that escapes is annihilated by the lcm.  A skipped e_i is
     annihilated anyway, so the escapes found are the ones an exhaustive
     scan would find.
+
+    With a list as `_trusted` (rnf's peel) the scan stops early, appends
+    n and returns the e_1 chain unproven when the first candidate is
+    annihilated, two more chains are left to spin and a fixed dense
+    probe is annihilated too.  rnf's certificate then decides.
     """
     if not a.is_square:
         raise DimensionError("matrix must be square")
@@ -123,11 +128,13 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
     if acc.mu.degree == n:
         return acc
     known = acc.tracker.copy()
+    trust = _trusted is not None
     for i in range(1, n):
         e = [K.zero] * n
         e[i] = K.one
         if not known.try_add(e[::-1]):
             continue
+        first, trust = trust, False
         chain = [e, a.col(i)]  # a * e_i is column i of a
         for _ in range(acc.mu.degree - 1):
             chain.append(a * chain[-1])
@@ -136,6 +143,13 @@ def min_poly_vector(a: Mat) -> LocalAnnihilator:
             for w in chain[1:-1]:
                 if not known.try_add(w[::-1]):
                     break
+            if first and n - known.rank > acc.mu.degree:
+                # a fixed dense probe, +-1..+-9 off the Lehmer sequence 48271^k mod 2^31 - 1
+                xs = [pow(48271, k, 2**31 - 1) for k in range(1, n + 1)]
+                probe = [K.from_int((x % 9 + 1) * (-1) ** x) for x in xs]
+                if not any(eval_poly_vec(acc.mu, a, probe)):
+                    _trusted.append(n)
+                    return acc
             continue
         other = local_min_poly(a, e)
         grown = combine_lcm_vector(a, acc, other)

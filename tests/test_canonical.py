@@ -402,8 +402,24 @@ def test_rnf_op_counts_with_many_blocks_and_on_criterion_8_inputs():
     # eliminating each Krylov chain three times (for its polynomial, for
     # the escape scan's known span and for the split) took 292,392, and
     # a matrix-vector product for each unit column of T in the
-    # certificate took 270,214
-    assert K.op_count <= 143_814
+    # certificate took 270,214, and scanning every unit vector of each
+    # block, where the certificate proves what a dense probe suggests,
+    # took 143,814
+    assert K.op_count <= 116_841
+    # the escape scan stops early only where a dense probe is annihilated
+    # too, so inputs whose blocks are found with no escape only pay for
+    # the probe: the full scan of every block took 2,611,146 for the
+    # diagonal with each value twice, 152,036 for I + E_nn and 1,799,086
+    # for diag(1, ..., 1, 20, ..., 39) with twenty 1s
+    for values, degrees, count in (
+        ([v for v in range(1, 21) for _ in (0, 1)], [20, 20], 2_614_426),
+        ([1] * (n - 1) + [2], [2] + [1] * 38, 132_426),
+        ([1] * 20 + list(range(20, 40)), [21] + [1] * 19, 1_800_110),
+    ):
+        diagonal = Mat(K, [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        K.reset_op_count()
+        assert [f.degree for f in rnf(diagonal).factors] == degrees
+        assert K.op_count <= count, count
     # one Jordan block, far from cyclic on e_1: adding the chain of an
     # absorbed candidate to the known span twice took 6,957,257, and
     # re-eliminating the chains took 6,367,915
@@ -464,8 +480,8 @@ def test_each_krylov_chain_is_eliminated_once(monkeypatch):
             fed.append(list(entries))
         return try_add(tracker, entries)
 
-    def peeling(sub):
-        blocks.append(peel(sub))
+    def peeling(sub, trusted):
+        blocks.append(peel(sub, trusted))
         return blocks[-1]
 
     def spinning(a, x):

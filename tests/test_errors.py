@@ -53,7 +53,7 @@ def _patch_nth_call(monkeypatch, name, nth, replace):
 def test_rnf_peel_failure_names_phase_and_block(monkeypatch):
     K = PrimeField(7)
 
-    def broken_chain(sub, ann):
+    def broken_chain(sub, trusted, ann):
         return ann._replace(mu=Poly(K, [K.zero, K.one]))
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, broken_chain)
@@ -62,7 +62,7 @@ def test_rnf_peel_failure_names_phase_and_block(monkeypatch):
 
 
 def test_rnf_peel_wraps_min_poly_failures(monkeypatch):
-    def fails(sub):
+    def fails(sub, trusted):
         raise InternalInvariantError("combination failed to grow the degree")
 
     monkeypatch.setattr(canonical, "min_poly_vector", fails)
@@ -86,7 +86,7 @@ def test_rnf_couple_failure_names_phase_and_block(monkeypatch):
 def test_rnf_certify_failure_names_phase_and_block(monkeypatch):
     Q = Rationals()
 
-    def wrong_basis(sub, ann):
+    def wrong_basis(sub, trusted, ann):
         n = sub.nrows
         return ann._replace(krylov=[unit(Q, n, i) for i in range(n)])
 
@@ -98,7 +98,7 @@ def test_rnf_certify_failure_names_phase_and_block(monkeypatch):
 def test_rnf_certify_catches_a_singular_transform(monkeypatch):
     Q = Rationals()
 
-    def zero_chain(sub, ann):
+    def zero_chain(sub, trusted, ann):
         return ann._replace(krylov=[[Q.zero] * sub.nrows])
 
     _patch_nth_call(monkeypatch, "min_poly_vector", 1, zero_chain)

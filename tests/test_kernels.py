@@ -669,8 +669,8 @@ def test_split_quotient_equals_the_scan_and_solve_it_replaces(K, monkeypatch):
         calls.append((sub, tracker))
         return split(sub, tracker)
 
-    def peeling(sub):
-        blocks.append(peel(sub))
+    def peeling(sub, trusted):
+        blocks.append(peel(sub, trusted))
         return blocks[-1]
 
     monkeypatch.setattr(canonical, "_split_quotient", recording)
