@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .canonical import char_poly, is_similar, nilpotent_jnf, rnf
 from .errors import RatformError
-from .field import Field, PrimeField, Rationals
+from .field import Field, PrimeField, Rationals, ascii_int
 from .linalg import Mat, conjugates
 from .matio import format_matrix, parse_matrix
 from .minpoly import min_poly
@@ -35,7 +35,7 @@ def _field_override(text: str) -> Field:
     if text == "rational":
         return Rationals()
     if text.startswith("gf:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+        return PrimeField(ascii_int(text.split(":", 1)[1]))
     raise ValueError(f"bad field {text!r}; use rational or gf:<p>")
 
 

@@ -6,6 +6,16 @@ raises the builtin ZeroDivisionError.  The classes below cover the
 conditions callers may want to catch specifically.
 """
 
+__all__ = [
+    "RatformError",
+    "MixedFieldError",
+    "DimensionError",
+    "SingularMatrixError",
+    "NotNilpotentError",
+    "MatrixParseError",
+    "InternalInvariantError",
+]
+
 
 class RatformError(Exception):
     """Base class for library-specific errors."""

@@ -31,8 +31,30 @@ from operator import index, mul
 
 __all__ = ["Field", "Rationals", "PrimeField"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII only: \d takes any script's digits
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+
+# int() refuses strings past 4300 digits by default; parse reads in halves up to MAX_DIGITS.
+_STR_DIGITS, MAX_DIGITS = 4300, 100_000
+
+
+def ascii_int(text: str) -> int:
+    """int(text), refusing the digits of other scripts that int() reads."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def _read_int(text: str) -> int:
+    """A signed integer of ASCII digits, read in halves past the interpreter's limit."""
+    if len(text) <= _STR_DIGITS:
+        return int(text)
+    digits = text.lstrip("+-")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"an integer of {len(digits)} digits is past the cap of {MAX_DIGITS}")
+    k = len(digits) // 2
+    value = _read_int(digits[:-k]) * 10**k + _read_int(digits[-k:])
+    return -value if text[0] == "-" else value
 
 
 # Miller-Rabin on the first thirteen primes as bases is a proof of
@@ -71,13 +93,19 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Scalar context: arithmetic, parsing/formatting, operation count.
 
-    Instances are immutable apart from `op_count`, a running tally of the
-    arithmetic operations executed through the context.  Scalar methods
-    (add, sub, mul, neg, inv) count one each; the row-level methods
-    (matvec, sub_scaled, scale, reduce_by_rows) count in one step exactly
-    what the equivalent scalar calls would.  Two contexts compare equal iff they
-    describe the same field, so values may flow between structures built
-    from equal contexts.
+    Each field implements `zero`, `one`, `kind`, `describe` (the name
+    that `==` and `hash` compare), `from_int`, `parse`, `format`, the
+    scalar `add`, `sub`, `mul`, `neg` and `inv`, and the row-level
+    `matvec`, `sub_scaled` and `scale`.  Instances are immutable apart
+    from `op_count`, a running tally of the arithmetic operations run
+    through the context.  A scalar method counts one; a row-level one
+    counts in one step what the equivalent scalar calls would:
+    `matvec(rows, v)`, each row's sum of products with v, len(v) muls
+    and len(v)-1 adds per row; `sub_scaled(xs, c, ys)`, [x - c*y] over
+    equal-length rows, a mul and a sub each; `scale(c, xs)`, [c*x for x
+    in xs], one mul each; `reduce_by_rows`, as its `sub_scaled` calls.
+    Equal contexts describe the same field, so values may flow between
+    structures built from them.
 
     Values are canonical, so a value is zero iff it is falsy and `==` is
     equality in the field; neither test counts as an operation.
@@ -85,16 +113,11 @@ class Field:
 
     __slots__ = ("op_count",)
 
-    kind = ""
-
     def __init__(self):
         self.op_count = 0
 
     def reset_op_count(self) -> None:
         self.op_count = 0
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<field {self.describe()}>"
@@ -104,37 +127,6 @@ class Field:
 
     def __hash__(self):
         return hash(self.describe())
-
-    # -- arithmetic (implemented by subclasses) --
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    # -- row-level arithmetic: one comprehension and one count per call --
-
-    def matvec(self, rows, v):
-        """Each row's sum of products with v; len(v) muls, len(v)-1 adds per row."""
-        raise NotImplementedError
-
-    def sub_scaled(self, xs, c, ys):
-        """[x - c*y] over equal-length rows; counted as a mul and a sub each."""
-        raise NotImplementedError
-
-    def scale(self, c, xs):
-        """[c*x for x in xs]; counted as one mul each."""
-        raise NotImplementedError
 
     # -- stored rows of an elimination: here lists, the tail after a unit pivot --
 
@@ -159,11 +151,6 @@ class Field:
             multipliers.append((j, c))
         return v, multipliers
 
-    # -- conversions --
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
     def canonical_row(self, xs) -> list:
         """The entries as a fresh list of canonical values; over Q, each int made a Fraction."""
         row = list(xs)
@@ -173,12 +160,6 @@ class Field:
                     raise TypeError(f"not an exact rational scalar: {x!r}")
                 row[i] = Fraction(x)
         return row
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
 
 
 class Rationals(Field):
@@ -237,7 +218,10 @@ class Rationals(Field):
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational scalar: {text!r}")
         try:
-            return Fraction(text)
+            if len(text) <= _STR_DIGITS:
+                return Fraction(text)
+            num, _, den = text.partition("/")
+            return Fraction(_read_int(num), _read_int(den or "1"))
         except ZeroDivisionError:
             raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
@@ -375,7 +359,7 @@ class PrimeField(Field):
     def parse(self, text: str):
         if not _INT_RE.match(text):
             raise ValueError(f"not a GF({self.p}) scalar: {text!r}")
-        return int(text) % self.p
+        return _read_int(text) % self.p
 
     def format(self, a) -> str:
         return str(a)

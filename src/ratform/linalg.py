@@ -27,11 +27,8 @@ from .poly import Poly
 
 __all__ = [
     "Mat",
-    "Rref",
-    "SpanTracker",
     "rref",
     "rank",
-    "pivot_columns",
     "inverse",
     "kernel_basis",
     "solve",

@@ -14,7 +14,7 @@ so format(parse(text)) round-trips byte for byte on library output.
 from __future__ import annotations
 
 from .errors import MatrixParseError
-from .field import Field, PrimeField, Rationals
+from .field import Field, PrimeField, Rationals, ascii_int
 from .linalg import Mat
 
 __all__ = ["parse_matrix", "format_matrix"]
@@ -34,7 +34,7 @@ def _parse_field_header(lineno: int, tokens: list[str]) -> Field:
         return Rationals()
     if len(tokens) == 3 and tokens[1] == "gf":
         try:
-            return PrimeField(int(tokens[2]))
+            return PrimeField(ascii_int(tokens[2]))
         except ValueError as exc:
             raise MatrixParseError(lineno, str(exc)) from None
     raise MatrixParseError(lineno, f"unknown field {' '.join(tokens[1:])!r}")
@@ -52,7 +52,7 @@ def parse_matrix(text: str, field: Field | None = None) -> Mat:
         raise MatrixParseError(lines[0][0], "missing size line")
     size_lineno, size_tokens = lines[1]
     try:
-        dims = [int(t) for t in size_tokens]
+        dims = [ascii_int(t) for t in size_tokens]
     except ValueError:
         raise MatrixParseError(size_lineno, f"bad size line {' '.join(size_tokens)!r}") from None
     if len(dims) == 1:

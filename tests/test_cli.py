@@ -232,7 +232,7 @@ def test_scalars_past_the_int_to_str_limit_print_exactly(tmp_path, capsys):
 
 
 def test_input_tokens_past_the_int_to_str_limit_are_refused(tmp_path, capsys):
-    long = write(tmp_path, "long.mat", "field rational\n1\n" + "7" * 4401 + "\n")
+    long = write(tmp_path, "long.mat", "field rational\n1\n" + "7" * 100_001 + "\n")
     assert main(["factors", long]) == 2
     assert "line 3" in capsys.readouterr().err
 

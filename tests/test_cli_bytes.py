@@ -84,6 +84,24 @@ def test_a_zero_denominator_names_its_token(workdir, capsys):
     assert capsys.readouterr() == ("", "error: zero-den.mat: line 3: zero denominator in '1/0'\n")
 
 
+@pytest.mark.parametrize(
+    "text, flags, err",
+    [  # Arabic-Indic digits, which int() and the regex \d read as numbers
+        ("field gf \u0667\n2\n1 0\n0 1\n", [], "in.mat: line 1: not an ASCII integer: '\u0667'"),
+        ("field gf 7\n\u0662\n1 0\n0 1\n", [], "in.mat: line 2: bad size line '\u0662'"),
+        ("field rational\n1\n\u0663\n", [], "in.mat: line 3: not a rational scalar: '\u0663'"),
+        ("field gf 7\n1\n\u0663\n", [], "in.mat: line 3: not a GF(7) scalar: '\u0663'"),
+        ("field gf 7\n2\n1 0\n0 1\n", ["--field=gf:\u0667"], "not an ASCII integer: '\u0667'"),
+    ],
+    ids=["header", "size", "Q entry", "GF entry", "--field"],
+)
+def test_digits_outside_ascii_exit_2(tmp_path, monkeypatch, capsys, text, flags, err):
+    (tmp_path / "in.mat").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["factors", *flags, "in.mat"]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_every_honoured_invocation_is_pinned():
     keys = {" ".join(argv) for verb in HONOURED for argv in cases(verb)}
     assert keys == set(PINNED)

@@ -183,8 +183,25 @@ def test_rational_format_is_exact_past_the_int_to_str_limit():
 
 
 def test_rational_parse_rejects_tokens_past_the_int_to_str_limit():
-    with pytest.raises(ValueError, match="4300"):
-        Rationals().parse("7" * 4401)
+    with pytest.raises(ValueError, match="100000"):
+        Rationals().parse("7" * 100_001)
+
+
+def test_parse_reads_integers_up_to_the_digit_cap():
+    nines, value = "9" * 100_000, 10**100_000 - 1
+    assert Rationals().parse("-" + nines) == -value
+    assert Rationals().parse("1/" + nines) == Fraction(1, value)
+    assert PrimeField(101).parse(nines) == value % 101
+    with pytest.raises(ValueError, match="100001 digits"):
+        PrimeField(101).parse("9" * 100_001)
+
+
+def test_parse_refuses_digits_outside_ascii():
+    # Arabic-Indic three, 1 over Arabic-Indic seven, fullwidth one: int() reads each
+    for K in (Rationals(), PrimeField(7)):
+        for text in ("\u0663", "1/\u0667", "\uff11"):
+            with pytest.raises(ValueError, match="scalar"):
+                K.parse(text)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,3 +67,26 @@ def test_format_parse_round_trip_is_byte_stable():
             again = parse_matrix(text)
             assert again == m
             assert format_matrix(again) == text
+
+
+def printable_scalar(K, rng):
+    """A scalar format_matrix may print: over Q, some of 4,301 to 6,000 digits a side."""
+    if K.kind == "gf":
+        return rng.randrange(K.p)
+    sizes = (rng.randint(1, 30), rng.randint(4301, 6000))
+    d, e = rng.choice(sizes), rng.choice(sizes)
+    num = rng.randrange(10 ** (d - 1), 10**d) * rng.choice((-1, 1))
+    return Fraction(num, rng.choice((1, 7, 10**e + 3)))
+
+
+@pytest.mark.parametrize("K", [Rationals(), PrimeField(7), PrimeField(1000000007)], ids=["Q", "GF7", "GF1e9+7"])
+def test_parse_reads_back_what_format_writes(K):
+    rng = random.Random(4301)
+    longest = 0
+    for _ in range(10):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        m = Mat(K, [[printable_scalar(K, rng) for _ in range(cols)] for _ in range(rows)])
+        text = format_matrix(m)
+        assert parse_matrix(text) == m
+        longest = max(longest, *map(len, text.split()))
+    assert longest > 4300 or K.kind == "gf"
