@@ -31,23 +31,24 @@ from operator import index, mul
 
 __all__ = ["Field", "Rationals", "PrimeField"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")  # ASCII only: \d takes any script's digits
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII only: \d takes any script's digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
-# int() refuses strings past 4300 digits by default; parse reads in halves up to MAX_DIGITS.
-_STR_DIGITS, MAX_DIGITS = 4300, 100_000
+# int() may refuse strings past 640 digits, the least int/str limit an interpreter can
+# be set to (4300 by default); parse reads longer integers in halves, up to MAX_DIGITS.
+_LEAF_DIGITS, MAX_DIGITS = 640, 100_000
 
 
 def ascii_int(text: str) -> int:
-    """int(text), refusing the digits of other scripts that int() reads."""
-    if not text.isascii():
-        raise ValueError(f"not an ASCII integer: {text!r}")
+    """int(text) for ASCII digits only: int() also takes other scripts' digits, signs and `_`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an unsigned ASCII integer: {text!r}")
     return int(text)
 
 
 def _read_int(text: str) -> int:
-    """A signed integer of ASCII digits, read in halves past the interpreter's limit."""
-    if len(text) <= _STR_DIGITS:
+    """A signed integer of ASCII digits, read in halves past the least int/str limit."""
+    if len(text) <= _LEAF_DIGITS:
         return int(text)
     digits = text.lstrip("+-")
     if len(digits) > MAX_DIGITS:
@@ -215,12 +216,10 @@ class Rationals(Field):
         return Fraction(index(k))
 
     def parse(self, text: str):
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(text):
             raise ValueError(f"not a rational scalar: {text!r}")
+        num, _, den = text.partition("/")
         try:
-            if len(text) <= _STR_DIGITS:
-                return Fraction(text)
-            num, _, den = text.partition("/")
             return Fraction(_read_int(num), _read_int(den or "1"))
         except ZeroDivisionError:
             raise ZeroDivisionError(f"zero denominator in {text!r}") from None
@@ -357,7 +356,7 @@ class PrimeField(Field):
         return [index(x) % p for x in xs]  # a float or a Fraction raises TypeError
 
     def parse(self, text: str):
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise ValueError(f"not a GF({self.p}) scalar: {text!r}")
         return _read_int(text) % self.p
 

@@ -87,13 +87,17 @@ def test_a_zero_denominator_names_its_token(workdir, capsys):
 @pytest.mark.parametrize(
     "text, flags, err",
     [  # Arabic-Indic digits, which int() and the regex \d read as numbers
-        ("field gf \u0667\n2\n1 0\n0 1\n", [], "in.mat: line 1: not an ASCII integer: '\u0667'"),
+        ("field gf \u0667\n2\n1 0\n0 1\n", [], "in.mat: line 1: not an unsigned ASCII integer: '\u0667'"),
         ("field gf 7\n\u0662\n1 0\n0 1\n", [], "in.mat: line 2: bad size line '\u0662'"),
         ("field rational\n1\n\u0663\n", [], "in.mat: line 3: not a rational scalar: '\u0663'"),
         ("field gf 7\n1\n\u0663\n", [], "in.mat: line 3: not a GF(7) scalar: '\u0663'"),
-        ("field gf 7\n2\n1 0\n0 1\n", ["--field=gf:\u0667"], "not an ASCII integer: '\u0667'"),
+        ("field gf 7\n2\n1 0\n0 1\n", ["--field=gf:\u0667"], "not an unsigned ASCII integer: '\u0667'"),
+        # underscores, which int() also reads, are no more a number than in a scalar
+        ("field gf 1_01\n1\n1\n", [], "in.mat: line 1: not an unsigned ASCII integer: '1_01'"),
+        ("field gf 7\n1_0\n1\n", [], "in.mat: line 2: bad size line '1_0'"),
+        ("field gf 7\n1\n1\n", ["--field=gf:1_01"], "not an unsigned ASCII integer: '1_01'"),
     ],
-    ids=["header", "size", "Q entry", "GF entry", "--field"],
+    ids=["header", "size", "Q entry", "GF entry", "--field", "header 1_01", "size 1_0", "--field 1_01"],
 )
 def test_digits_outside_ascii_exit_2(tmp_path, monkeypatch, capsys, text, flags, err):
     (tmp_path / "in.mat").write_text(text, encoding="utf-8")

@@ -204,6 +204,14 @@ def test_parse_refuses_digits_outside_ascii():
                 K.parse(text)
 
 
+def test_parse_takes_the_whole_token():
+    # a regex ending in `$` would also match before a final newline
+    for K in (Rationals(), PrimeField(7)):
+        for text in ("5\n", "1/2\n", " 5", "5 "):
+            with pytest.raises(ValueError, match="scalar"):
+                K.parse(text)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 101])
 def test_gf_inverses_exhaustive(p):
     K = PrimeField(p)

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,27 @@ def test_parse_reads_back_what_format_writes(K):
         assert parse_matrix(text) == m
         longest = max(longest, *map(len, text.split()))
     assert longest > 4300 or K.kind == "gf"
+
+
+LOWEST_LIMIT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from ratform import Mat, Rationals, format_matrix, parse_matrix
+from fractions import Fraction
+K = Rationals()
+entries = [Fraction((10**d - 1) // 3, 10**e + 1) for d, e in ((641, 1), (4300, 700), (4301, 6000))]
+m = Mat(K, [entries])
+assert parse_matrix(format_matrix(m)) == m
+"""
+
+
+def test_parse_reads_back_under_the_lowest_int_to_str_limit():
+    """int() refuses strings past 640 digits when the interpreter is set to
+    its least limit; what format_matrix writes still reads back."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-I", "-X", "int_max_str_digits=640", "-c", LOWEST_LIMIT, src],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
